@@ -126,7 +126,7 @@ func run() (code int) {
 	wliters := flag.Int("wliters", 0, "max phase-1 wirelength iterations (0 = default)")
 	levels := flag.Int("levels", 0, "multilevel clustered placement levels (0/1 = flat; ≥2 coarsens the design and places coarsest-first)")
 	clusterMax := flag.Int("cluster-max-size", 0, "max base cells per cluster across the hierarchy (0 = auto 4^(levels-1), negative = no cap)")
-	workers := flag.Int("workers", 0, "worker goroutines for the parallel kernels (0 = all CPUs, 1 = serial; results are identical for any value)")
+	workers := flag.Int("workers", 0, "worker goroutines for the parallel kernels (0 = GOMAXPROCS, 1 = serial; results are identical for any value)")
 	tracePath := flag.String("trace", "", "write a JSONL telemetry trace to this file (- for stdout)")
 	metrics := flag.Bool("metrics", false, "print stage timings and the metrics registry")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof at this address")

@@ -41,7 +41,7 @@ type Model struct {
 	// maximum-congestion candidate.
 	VirtualAtMidpoint bool
 	// Workers caps the goroutines of the embedded Poisson solve; 0 selects
-	// runtime.NumCPU(). Any setting produces bitwise-identical fields.
+	// runtime.GOMAXPROCS(0). Any setting produces bitwise-identical fields.
 	Workers int
 
 	d *netlist.Design

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -59,7 +58,7 @@ func tracedRun(t *testing.T, logSink *strings.Builder) (*Result, []byte, []telem
 
 func TestTraceDeterministic(t *testing.T) {
 	// Two identical runs must produce byte-identical canonical traces
-	// (wall-clock content stripped) and identical metrics.
+	// (wall-clock content stripped) and identical canonical metrics.
 	_, trace1, met1 := tracedRun(t, nil)
 	_, trace2, met2 := tracedRun(t, nil)
 
@@ -82,10 +81,22 @@ func TestTraceDeterministic(t *testing.T) {
 		t.Fatalf("canonical traces differ in length: %d vs %d lines", len(a), len(b))
 	}
 
-	j1, _ := json.Marshal(met1)
-	j2, _ := json.Marshal(met2)
-	if !bytes.Equal(j1, j2) {
-		t.Errorf("metrics snapshots differ:\n%s\nvs\n%s", j1, j2)
+	// Every non-volatile metric must agree exactly. The volatile gauges
+	// (realized worker count, busy/wall speedups) are wall-clock content
+	// outside the determinism contract.
+	can1 := telemetry.CanonicalMetrics(met1)
+	can2 := telemetry.CanonicalMetrics(met2)
+	if len(can1) == 0 {
+		t.Fatal("no canonical metrics recorded")
+	}
+	if len(can1) != len(can2) {
+		t.Fatalf("canonical metric sets differ in size: %d vs %d\n  run1: %+v\n  run2: %+v",
+			len(can1), len(can2), can1, can2)
+	}
+	for i := range can1 {
+		if can1[i] != can2[i] {
+			t.Errorf("canonical metrics differ:\n  run1: %+v\n  run2: %+v", can1[i], can2[i])
+		}
 	}
 }
 

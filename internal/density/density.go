@@ -35,8 +35,8 @@ import (
 type Model struct {
 	// Workers caps the goroutines used per evaluation (rasterization,
 	// penalty, gradients and the embedded Poisson solve); 0 selects
-	// runtime.NumCPU(), 1 runs fully serial. Results are byte-identical
-	// for any setting.
+	// runtime.GOMAXPROCS(0), 1 runs fully serial. Results are
+	// byte-identical for any setting.
 	Workers int
 
 	// RhoHook, when non-nil, is invoked with the normalized charge-density

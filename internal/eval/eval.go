@@ -79,8 +79,8 @@ func Evaluate(d *netlist.Design, gridHint int) Metrics {
 // EvaluateTraced is Evaluate with telemetry and a worker cap: the
 // high-effort routing and the scoring pass are recorded as child spans of
 // the caller's current span (a nil tracer disables tracing), and workers
-// bounds the router's parallel choice phase (0 selects runtime.NumCPU();
-// results are byte-identical for any setting).
+// bounds the router's parallel choice phase (0 selects
+// runtime.GOMAXPROCS(0); results are byte-identical for any setting).
 func EvaluateTraced(d *netlist.Design, gridHint int, tr *telemetry.Tracer, workers int) Metrics {
 	m, _ := EvaluateContext(context.Background(), d, gridHint, tr, workers)
 	return m

@@ -38,11 +38,11 @@ import (
 const NumShards = 16
 
 // Resolve maps an Options.Workers-style setting to the effective worker
-// count: 0 (or negative) selects runtime.NumCPU(); the result is clamped
-// to [1, NumShards].
+// count: 0 (or negative) selects runtime.GOMAXPROCS(0), the number of CPUs
+// the process may run Go code on; the result is clamped to [1, NumShards].
 func Resolve(workers int) int {
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers < 1 {
 		workers = 1

@@ -13,8 +13,8 @@ func TestResolve(t *testing.T) {
 		{2, 2},
 		{NumShards, NumShards},
 		{NumShards + 5, NumShards},
-		{-3, clampCPU()},
-		{0, clampCPU()},
+		{-3, clampProcs()},
+		{0, clampProcs()},
 	}
 	for _, c := range cases {
 		if got := Resolve(c.in); got != c.want {
@@ -23,12 +23,26 @@ func TestResolve(t *testing.T) {
 	}
 }
 
-func clampCPU() int {
-	n := runtime.NumCPU()
+func clampProcs() int {
+	n := runtime.GOMAXPROCS(0)
 	if n > NumShards {
 		n = NumShards
 	}
 	return n
+}
+
+// TestResolveFollowsGOMAXPROCS: the default worker count is the number of
+// CPUs the process may use, not the number the machine has, so a
+// GOMAXPROCS=1 run executes the kernels serially.
+func TestResolveFollowsGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		if got := Resolve(0); got != procs {
+			t.Errorf("Resolve(0) at GOMAXPROCS=%d = %d", procs, got)
+		}
+	}
 }
 
 func TestRangeCoversExactly(t *testing.T) {

@@ -30,7 +30,7 @@ import (
 // buffer per parallel shard); Solve performs no allocation.
 type Solver struct {
 	// Workers caps the goroutines used per Solve; 0 selects
-	// runtime.NumCPU(), 1 runs fully serial. Any setting produces
+	// runtime.GOMAXPROCS(0), 1 runs fully serial. Any setting produces
 	// bitwise-identical results.
 	Workers int
 

@@ -35,8 +35,8 @@ const chooseBatch = 256
 // including the returned Result, is router-owned and reused.
 type Router struct {
 	// Workers caps the goroutines used in the candidate-choice phase; 0
-	// selects runtime.NumCPU(), 1 runs fully serial. Any setting produces
-	// byte-identical routes.
+	// selects runtime.GOMAXPROCS(0), 1 runs fully serial. Any setting
+	// produces byte-identical routes.
 	Workers int
 
 	d *netlist.Design

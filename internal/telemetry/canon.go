@@ -45,3 +45,19 @@ func StripTimings(trace []byte) ([]byte, error) {
 	}
 	return out.Bytes(), sc.Err()
 }
+
+// CanonicalMetrics returns the non-volatile metrics of a snapshot, in
+// snapshot order: the part of a metric registry that the determinism
+// contract covers. It is the registry counterpart of StripTimings — two
+// runs of the same deterministic placement, at any worker count, must
+// produce equal canonical metrics, while volatile gauges (realized worker
+// count, busy/wall speedups) may differ from run to run.
+func CanonicalMetrics(snap []Metric) []Metric {
+	out := make([]Metric, 0, len(snap))
+	for _, m := range snap {
+		if !m.Volatile {
+			out = append(out, m)
+		}
+	}
+	return out
+}

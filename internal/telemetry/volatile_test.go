@@ -61,3 +61,29 @@ func TestVolatileGaugeNilSafety(t *testing.T) {
 	var o *Observer
 	o.VolatileGauge("y").Set(2) // must not panic
 }
+
+func TestCanonicalMetricsDropsOnlyVolatile(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("route.calls").Add(6)
+	r.Gauge("place.hpwl_final").Set(123.5)
+	r.Histogram("route.round_segments").Observe(40)
+	r.VolatileGauge("parallel.workers").Set(2)
+	r.VolatileGauge("parallel.route.speedup").Set(1.52)
+	snap := r.Snapshot()
+
+	// Snapshot orders by (volatile, kind, name), so its first three
+	// entries are the non-volatile metrics in snapshot order.
+	got := CanonicalMetrics(snap)
+	want := []string{"route.calls", "place.hpwl_final", "route.round_segments"}
+	if len(got) != len(want) {
+		t.Fatalf("got %d canonical metrics, want %d:\n%+v", len(got), len(want), got)
+	}
+	for i, name := range want {
+		if got[i].Name != name {
+			t.Errorf("canonical metric %d is %q, want %q", i, got[i].Name, name)
+		}
+		if got[i] != snap[i] {
+			t.Errorf("canonical metric %d = %+v, snapshot has %+v", i, got[i], snap[i])
+		}
+	}
+}

@@ -20,8 +20,8 @@ import (
 // gamma parameter controls smoothness: WA → HPWL as γ → 0.
 type Model struct {
 	// Workers caps the goroutines used per evaluation; 0 selects
-	// runtime.NumCPU(), 1 runs fully serial. Results are byte-identical
-	// for any setting (deterministic shard reduction).
+	// runtime.GOMAXPROCS(0), 1 runs fully serial. Results are
+	// byte-identical for any setting (deterministic shard reduction).
 	Workers int
 
 	d     *netlist.Design
