@@ -76,8 +76,10 @@
 // Exit codes: 0 success (or scheduled checkpoint stop), 1 generic error,
 // 2 usage error, 3 cancelled/timed out, 4 corrupted checkpoint,
 // 5 degenerate design, 6 numeric guard failure (violation under -guard
-// fail, or recovery budget exhausted under -guard recover). Internal
-// errors never surface as raw panics; they print one line and exit 1.
+// fail, or recovery budget exhausted under -guard recover), 8 legalization
+// found no room for a cell (the same run fails the same way every time).
+// Internal errors never surface as raw panics; they print one line and
+// exit 1.
 package main
 
 import (
@@ -97,6 +99,7 @@ import (
 	"repro/internal/dashboard"
 	"repro/internal/designio"
 	"repro/internal/guard"
+	"repro/internal/legalize"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
@@ -283,6 +286,10 @@ func run() (code int) {
 		closeTrace()
 		fmt.Fprintf(os.Stderr, "placer: numeric guard failure: %v\n", err)
 		return 6
+	case errors.As(err, new(*legalize.NoRoomError)):
+		closeTrace()
+		fmt.Fprintln(os.Stderr, err)
+		return 8
 	case err != nil:
 		closeTrace()
 		fmt.Fprintln(os.Stderr, err)

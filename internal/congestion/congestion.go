@@ -174,8 +174,10 @@ func (m *Model) FieldAt(x, y float64) (float64, float64) {
 	return m.sample(m.field.Ex, x, y), m.sample(m.field.Ey, x, y)
 }
 
-// PotentialAt returns the congestion potential ψ_c at (x, y).
+// PotentialAt returns the congestion potential ψ_c at (x, y). The first call
+// after a solve synthesizes ψ_c.
 func (m *Model) PotentialAt(x, y float64) float64 {
+	m.solver.Potential(m.field)
 	return m.sample(m.field.Psi, x, y)
 }
 

@@ -364,3 +364,26 @@ func sign(v float64) float64 {
 	}
 	return 1
 }
+
+// TestPotentialFollowsEveryUpdate: ψ_c is synthesized on first use after a
+// solve, so a potential read before an Update or Restore must not leak
+// into the reads after it.
+func TestPotentialFollowsEveryUpdate(t *testing.T) {
+	d, g, res1, m := hotspotSetup(t)
+	at := func(m *Model) float64 { return m.PotentialAt(127, 127) }
+	p1 := at(m)
+	for i := 0; i < 48; i++ {
+		d.Cells[i].X -= 80
+	}
+	res2 := route.NewRouter(d, g).Route()
+	m.Update(res2)
+	fresh := New(d, g)
+	fresh.Update(res2)
+	if p2 := at(m); math.Float64bits(p2) != math.Float64bits(at(fresh)) || p2 == p1 {
+		t.Errorf("potential after a second Update = %v, fresh model %v, first %v", p2, at(fresh), p1)
+	}
+	m.Restore(res1.Util, res1.Congestion)
+	if p := at(m); math.Float64bits(p) != math.Float64bits(p1) {
+		t.Errorf("potential after Restore = %v, want the first solve's %v", p, p1)
+	}
+}

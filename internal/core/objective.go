@@ -106,21 +106,21 @@ func (o *objective) scatter(x []float64) {
 	copy(o.dens.FillerPos, x[2*o.nCells:])
 }
 
-// Eval implements nesterov.Objective.
-func (o *objective) Eval(x, grad []float64) float64 {
+// Eval implements nesterov.Objective. It computes the gradient only: the
+// penalty values D and C, which no caller reads, are not evaluated.
+func (o *objective) Eval(x, grad []float64) {
 	evalIdx := o.evals
 	o.evals++
 	o.scatter(x)
 
 	zero(o.gWL)
-	wlVal := o.wl.EvaluateWithGrad(o.gWL)
+	o.lastWL = o.wl.EvaluateWithGrad(o.gWL)
 	if o.inject.ShouldFire(inject.WAGradNaN, evalIdx) {
 		// Poison one movable cell's WA gradient entry (a fixed cell's entry
 		// would never reach the combined gradient).
 		ci := o.movable[o.inject.Index(inject.WAGradNaN, len(o.movable))]
 		o.gWL[2*ci] = math.NaN()
 	}
-	o.lastWL = wlVal
 	o.lastWLGradL1 = wirelength.GradL1(o.d, o.gWL)
 
 	o.dens.Compute()
@@ -145,7 +145,6 @@ func (o *objective) Eval(x, grad []float64) float64 {
 		}
 	}
 
-	congVal := 0.0
 	if o.useCong && o.cong != nil && o.cong.Ready() {
 		zero(o.gCong)
 		o.lastStats = o.cong.Gradients(o.gCong)
@@ -154,7 +153,6 @@ func (o *objective) Eval(x, grad []float64) float64 {
 		} else {
 			o.lambda2 = o.cong.Lambda2(o.lastWLGradL1, o.lastStats) // Eq. 10
 		}
-		congVal = o.cong.Penalty()
 	} else {
 		o.lambda2 = 0
 	}
@@ -174,8 +172,6 @@ func (o *objective) Eval(x, grad []float64) float64 {
 	for k := 0; k < 2*o.nFill; k++ {
 		grad[base+k] = o.lambda1 * o.gFill[k]
 	}
-
-	return wlVal + o.lambda1*o.dens.Penalty() + o.lambda2*congVal
 }
 
 // Precondition implements nesterov.Objective with the ePlace preconditioner:

@@ -528,7 +528,7 @@ func (ps *PlacementState) buildRuntime() error {
 		ps.obj.poissonSolves = obs.Counter("poisson.solves")
 		evals := obs.Counter("objective.evals")
 		stepHist := obs.Histogram("nesterov.step_size")
-		ps.optm.OnStep = func(_ int, _, step float64) {
+		ps.optm.OnStep = func(_ int, step float64) {
 			evals.Inc()
 			stepHist.Observe(step)
 		}
@@ -598,7 +598,7 @@ func (wirelengthStage) Run(ctx context.Context, ps *PlacementState) error {
 			return err
 		}
 		ps.obj.useCong = false
-		_, step := ps.optm.Step(ps.obj)
+		step := ps.optm.Step(ps.obj)
 		if retry, err := ps.guardAfterStep("wirelength"); err != nil {
 			p1.End()
 			return err

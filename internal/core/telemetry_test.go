@@ -252,7 +252,7 @@ func benchStepObjective(b *testing.B, obs *telemetry.Observer) (*objective, *nes
 	if obs != nil {
 		evals := obs.Counter("objective.evals")
 		stepHist := obs.Histogram("nesterov.step_size")
-		optm.OnStep = func(_ int, _, step float64) {
+		optm.OnStep = func(_ int, step float64) {
 			evals.Inc()
 			stepHist.Observe(step)
 		}

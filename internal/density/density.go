@@ -69,6 +69,11 @@ type Model struct {
 	tileScratch [parallel.NumShards][]float64 // per-worker tile accumulator
 	stats       parallel.Timing
 
+	// Smoothed charges of the movable cells (indexed by cell) and the active
+	// fillers, built once per Compute and shared by the tile index passes
+	// and the splat.
+	cellQ, fillerQ []charge
+
 	inflation []float64 // per-cell inflation ratio r_i (movables only used)
 
 	// Fillers occupy free space so real cells stay compact (ePlace).
@@ -120,12 +125,14 @@ func New(d *netlist.Design, gridHint int) *Model {
 	for s := range m.tileScratch {
 		m.tileScratch[s] = make([]float64, tileBins*tileBins)
 	}
+	m.cellQ = make([]charge, len(d.Cells))
 	m.inflation = make([]float64, len(d.Cells))
 	for i := range m.inflation {
 		m.inflation[i] = 1
 	}
 	m.precomputeFixed()
 	m.buildFillers()
+	m.fillerQ = make([]charge, m.NumFillers())
 	return m
 }
 
@@ -358,11 +365,24 @@ func (m *Model) smoothed(r geom.Rect, scale float64) (geom.Rect, float64) {
 	return geom.NewRect(cx-w/2, cy-h/2, cx+w/2, cy+h/2), scale
 }
 
-// cellCharge returns the smoothed charge rect and density scale of one
-// movable cell at its current position and inflation ratio. Inflation
-// scales the charge area (paper: "the cell size is proportionally inflated
-// during density calculation").
-func (m *Model) cellCharge(ci int) (geom.Rect, float64) {
+// charge is one object's smoothed charge rect, its density scale and the
+// inclusive bin bounding box it touches.
+type charge struct {
+	r                  geom.Rect
+	scale              float64
+	bx0, bx1, by0, by1 int32
+}
+
+// newCharge wraps a smoothed charge rect with its bin bounding box.
+func (m *Model) newCharge(r geom.Rect, scale float64) charge {
+	bx0, bx1, by0, by1 := m.binBBox(r)
+	return charge{r: r, scale: scale, bx0: int32(bx0), bx1: int32(bx1), by0: int32(by0), by1: int32(by1)}
+}
+
+// cellCharge returns the smoothed charge of one movable cell at its current
+// position and inflation ratio. Inflation scales the charge area (paper:
+// "the cell size is proportionally inflated during density calculation").
+func (m *Model) cellCharge(ci int) charge {
 	c := &m.d.Cells[ci]
 	r := m.inflation[ci]
 	if r <= 0 {
@@ -370,14 +390,13 @@ func (m *Model) cellCharge(ci int) (geom.Rect, float64) {
 	}
 	w := c.W * math.Sqrt(r)
 	h := c.H * math.Sqrt(r)
-	return m.smoothed(geom.NewRect(c.X-w/2, c.Y-h/2, c.X+w/2, c.Y+h/2), 1)
+	return m.newCharge(m.smoothed(geom.NewRect(c.X-w/2, c.Y-h/2, c.X+w/2, c.Y+h/2), 1))
 }
 
-// fillerCharge returns the smoothed charge rect and density scale of one
-// filler cell.
-func (m *Model) fillerCharge(k int) (geom.Rect, float64) {
+// fillerCharge returns the smoothed charge of one filler cell.
+func (m *Model) fillerCharge(k int) charge {
 	x, y := m.FillerPos[2*k], m.FillerPos[2*k+1]
-	return m.smoothed(geom.NewRect(x-m.FillerW/2, y-m.FillerH/2, x+m.FillerW/2, y+m.FillerH/2), 1)
+	return m.newCharge(m.smoothed(geom.NewRect(x-m.FillerW/2, y-m.FillerH/2, x+m.FillerW/2, y+m.FillerH/2), 1))
 }
 
 // binBBox returns the inclusive bin bounding box a charge rect touches,
@@ -390,23 +409,25 @@ func (m *Model) binBBox(r geom.Rect) (bx0, bx1, by0, by1 int) {
 	return
 }
 
-// splatTile adds the overlap of an already-smoothed charge rect into a
-// tile-local accumulator, visiting only bins inside the tile. The per-bin
-// overlap arithmetic is identical to splat; bins of the rect outside this
-// tile are splatted by the tiles that own them.
-func (m *Model) splatTile(dst []float64, r geom.Rect, scale float64, tbx0, tby0, bw, bh int) {
-	bx0, bx1, by0, by1 := m.binBBox(r)
-	if bx0 < tbx0 {
-		bx0 = tbx0
-	}
-	if by0 < tby0 {
-		by0 = tby0
-	}
-	if v := tbx0 + bw - 1; bx1 > v {
-		bx1 = v
-	}
-	if v := tby0 + bh - 1; by1 > v {
-		by1 = v
+// tileSpan returns the inclusive tile range a charge touches.
+func (q *charge) tileSpan() (tx0, ty0, tx1, ty1 int, ok bool) {
+	return int(q.bx0) / tileBins, int(q.by0) / tileBins, int(q.bx1) / tileBins, int(q.by1) / tileBins, true
+}
+
+// splatTile adds the overlap of a charge into a tile-local accumulator,
+// visiting only bins inside the tile. The per-bin overlap arithmetic is
+// identical to splat; bins of the rect outside this tile are splatted by the
+// tiles that own them. The x-overlaps are computed once per call into oxs
+// and reused by every bin row.
+func (m *Model) splatTile(dst []float64, q *charge, tbx0, tby0, bw, bh int, oxs *[tileBins]float64) {
+	r := q.r
+	bx0 := max(int(q.bx0), tbx0)
+	by0 := max(int(q.by0), tby0)
+	bx1 := min(int(q.bx1), tbx0+bw-1)
+	by1 := min(int(q.by1), tby0+bh-1)
+	for bx := bx0; bx <= bx1; bx++ {
+		x0 := m.d.Die.Lo.X + float64(bx)*m.binW
+		oxs[bx-tbx0] = geom.OverlapLen(r.Lo.X, r.Hi.X, x0, x0+m.binW)
 	}
 	for by := by0; by <= by1; by++ {
 		y0 := m.d.Die.Lo.Y + float64(by)*m.binH
@@ -416,12 +437,11 @@ func (m *Model) splatTile(dst []float64, r geom.Rect, scale float64, tbx0, tby0,
 		}
 		row := (by-tby0)*bw - tbx0
 		for bx := bx0; bx <= bx1; bx++ {
-			x0 := m.d.Die.Lo.X + float64(bx)*m.binW
-			ox := geom.OverlapLen(r.Lo.X, r.Hi.X, x0, x0+m.binW)
+			ox := oxs[bx-tbx0]
 			if ox <= 0 {
 				continue
 			}
-			dst[row+bx] += ox * oy * scale
+			dst[row+bx] += ox * oy * q.scale
 		}
 	}
 }
@@ -535,23 +555,30 @@ func (ti *tileIndex) build(workers, nt, n, tpx int, span func(i int) (tx0, ty0, 
 func (m *Model) Compute() {
 	nCells := len(m.d.Cells)
 	nt := m.tpx * m.tpy
+	m.stats.Add(parallel.For(m.Workers, nCells, func(_, lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			if m.d.Cells[ci].Movable() {
+				m.cellQ[ci] = m.cellCharge(ci)
+			}
+		}
+	}))
+	m.stats.Add(parallel.For(m.Workers, m.activeFillers, func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			m.fillerQ[k] = m.fillerCharge(k)
+		}
+	}))
 	m.stats.Add(m.cellIndex.build(m.Workers, nt, nCells, m.tpx,
 		func(ci int) (int, int, int, int, bool) {
 			if !m.d.Cells[ci].Movable() {
 				return 0, 0, 0, 0, false
 			}
-			rect, _ := m.cellCharge(ci)
-			bx0, bx1, by0, by1 := m.binBBox(rect)
-			return bx0 / tileBins, by0 / tileBins, bx1 / tileBins, by1 / tileBins, true
+			return m.cellQ[ci].tileSpan()
 		}))
 	m.stats.Add(m.fillerIndex.build(m.Workers, nt, m.activeFillers, m.tpx,
-		func(k int) (int, int, int, int, bool) {
-			rect, _ := m.fillerCharge(k)
-			bx0, bx1, by0, by1 := m.binBBox(rect)
-			return bx0 / tileBins, by0 / tileBins, bx1 / tileBins, by1 / tileBins, true
-		}))
+		func(k int) (int, int, int, int, bool) { return m.fillerQ[k].tileSpan() }))
 	m.stats.Add(parallel.For(m.Workers, nt, func(worker, lo, hi int) {
 		scratch := m.tileScratch[worker]
+		var oxs [tileBins]float64
 		for t := lo; t < hi; t++ {
 			tbx0 := (t % m.tpx) * tileBins
 			tby0 := (t / m.tpx) * tileBins
@@ -581,12 +608,10 @@ func (m *Model) Compute() {
 					part[i] = 0
 				}
 				for _, ci := range m.cellIndex.list[cLo:cHi] {
-					rect, scale := m.cellCharge(int(ci))
-					m.splatTile(part, rect, scale, tbx0, tby0, bw, bh)
+					m.splatTile(part, &m.cellQ[ci], tbx0, tby0, bw, bh, &oxs)
 				}
 				for _, k := range m.fillerIndex.list[fLo:fHi] {
-					rect, scale := m.fillerCharge(int(k))
-					m.splatTile(part, rect, scale, tbx0, tby0, bw, bh)
+					m.splatTile(part, &m.fillerQ[k], tbx0, tby0, bw, bh, &oxs)
 				}
 				for yy := 0; yy < bh; yy++ {
 					srow := yy * bw
@@ -619,13 +644,15 @@ func (m *Model) Compute() {
 // ScanNonFinite scans the charge density and the solved Poisson field for
 // NaN/±Inf values, returning the name of the first offending array, the bin
 // index and the value; ok is true when everything is finite. This is the
-// guard layer's density/Poisson-field sentinel — O(4·NX·NY), trivially
-// cheap next to the solve itself.
+// guard layer's density/Poisson-field sentinel — O(3·NX·NY), trivially
+// cheap next to the solve itself. The potential is not scanned: Compute
+// does not synthesize it, and a non-finite coefficient of ψ reaches Ex or
+// Ey too.
 func (m *Model) ScanNonFinite() (field string, index int, value float64, ok bool) {
 	for _, s := range []struct {
 		name string
 		v    []float64
-	}{{"rho", m.rho}, {"psi", m.grid.Psi}, {"ex", m.grid.Ex}, {"ey", m.grid.Ey}} {
+	}{{"rho", m.rho}, {"ex", m.grid.Ex}, {"ey", m.grid.Ey}} {
 		for i, x := range s.v {
 			if x-x != 0 { // NaN or ±Inf
 				return s.name, i, x, false
@@ -657,8 +684,12 @@ func (m *Model) sample(f []float64, x, y float64) float64 {
 	return f00*(1-tx)*(1-ty) + f10*tx*(1-ty) + f01*(1-tx)*ty + f11*tx*ty
 }
 
-// Potential returns ψ interpolated at (x, y). Compute must have been called.
-func (m *Model) Potential(x, y float64) float64 { return m.sample(m.grid.Psi, x, y) }
+// Potential returns ψ interpolated at (x, y). Compute must have been called;
+// the first call after it synthesizes ψ.
+func (m *Model) Potential(x, y float64) float64 {
+	m.solver.Potential(m.grid)
+	return m.sample(m.grid.Psi, x, y)
+}
 
 // Field returns E = −∇ψ interpolated at (x, y).
 func (m *Model) Field(x, y float64) (float64, float64) {
@@ -669,6 +700,7 @@ func (m *Model) Field(x, y float64) (float64, float64) {
 // A_i the inflated charge area. The sum is reduced per shard in fixed order,
 // so it is byte-identical for every worker count.
 func (m *Model) Penalty() float64 {
+	m.solver.Potential(m.grid)
 	var cellParts, fillParts [parallel.NumShards]float64
 	m.stats.Add(parallel.For(m.Workers, len(m.d.Cells), func(shard, lo, hi int) {
 		var sum float64
@@ -678,14 +710,14 @@ func (m *Model) Penalty() float64 {
 				continue
 			}
 			a := c.Area() * m.inflation[ci]
-			sum += a * m.Potential(c.X, c.Y)
+			sum += a * m.sample(m.grid.Psi, c.X, c.Y)
 		}
 		cellParts[shard] = sum
 	}))
 	m.stats.Add(parallel.For(m.Workers, m.activeFillers, func(shard, lo, hi int) {
 		var sum float64
 		for k := lo; k < hi; k++ {
-			sum += m.fillerArea * m.Potential(m.FillerPos[2*k], m.FillerPos[2*k+1])
+			sum += m.fillerArea * m.sample(m.grid.Psi, m.FillerPos[2*k], m.FillerPos[2*k+1])
 		}
 		fillParts[shard] = sum
 	}))

@@ -154,6 +154,10 @@ func ClampInt(v, lo, hi int) int {
 
 // OverlapLen returns the length of the intersection of the 1-D intervals
 // [a0,a1] and [b0,b1]. Intervals may be given in any order.
+//
+// The builtin min/max give math.Min/math.Max's bits except when one argument
+// is NaN and the other infinite (and in a NaN's payload); with finite b0, b1,
+// as every bin-overlap caller passes, the results are identical.
 func OverlapLen(a0, a1, b0, b1 float64) float64 {
 	if a1 < a0 {
 		a0, a1 = a1, a0
@@ -161,7 +165,7 @@ func OverlapLen(a0, a1, b0, b1 float64) float64 {
 	if b1 < b0 {
 		b0, b1 = b1, b0
 	}
-	return math.Max(0, math.Min(a1, b1)-math.Max(a0, b0))
+	return max(0, min(a1, b1)-max(a0, b0))
 }
 
 // Segment is a straight line segment between two points. PG rails and two-pin

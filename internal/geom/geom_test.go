@@ -273,3 +273,48 @@ func TestCutDiagonalUnchanged(t *testing.T) {
 		t.Errorf("diagonal segment should pass through uncut")
 	}
 }
+
+// TestOverlapLenMatchesMathMinMax: OverlapLen's builtin min/max give the
+// bits of the math.Min/math.Max form for finite b0, b1 and any a0, a1 —
+// signed zeros, subnormals, infinities and NaN included (NaN compared as
+// NaN: the two forms pick different payloads).
+func TestOverlapLenMatchesMathMinMax(t *testing.T) {
+	ref := func(a0, a1, b0, b1 float64) float64 {
+		if a1 < a0 {
+			a0, a1 = a1, a0
+		}
+		if b1 < b0 {
+			b0, b1 = b1, b0
+		}
+		return math.Max(0, math.Min(a1, b1)-math.Max(a0, b0))
+	}
+	negZero := math.Copysign(0, -1)
+	sub := math.Float64frombits(1)
+	finite := []float64{0, negZero, sub, -sub, 1, -1, 2.5, 7, -3.25, 1e300, -1e300, math.MaxFloat64}
+	edges := append(append([]float64(nil), finite...), math.Inf(1), math.Inf(-1), math.NaN())
+	check := func(a0, a1, b0, b1 float64) {
+		got, want := OverlapLen(a0, a1, b0, b1), ref(a0, a1, b0, b1)
+		if math.IsNaN(want) && math.IsNaN(got) {
+			return
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("OverlapLen(%v, %v, %v, %v) = %v (%#x), math form %v (%#x)",
+				a0, a1, b0, b1, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, a0 := range edges {
+		for _, a1 := range edges {
+			for _, b0 := range finite {
+				for _, b1 := range finite {
+					check(a0, a1, b0, b1)
+				}
+			}
+		}
+	}
+	if err := quick.Check(func(a0, a1, b0, b1 float64) bool {
+		check(a0, a1, b0, b1)
+		return true
+	}, nil); err != nil {
+		t.Error(err)
+	}
+}

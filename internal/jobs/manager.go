@@ -782,7 +782,8 @@ func (m *Manager) onWorkerExit(j *job, code int, desc string) {
 		m.sched.remove(j.id)
 		m.finishLocked(j)
 		m.logf("%s: done HPWL=%.0f DRVs=%d", j.id, j.summary.HPWLFinal, j.summary.DRVs)
-	case code == workerExitUsage, code == workerExitDegenerate, code == workerExitGuard:
+	case code == workerExitUsage, code == workerExitDegenerate, code == workerExitGuard,
+		code == workerExitNoRoom:
 		// Deterministic failures: retrying cannot help, fail immediately.
 		j.state = StateFailed
 		if j.errMsg = j.failMsg; j.errMsg == "" {

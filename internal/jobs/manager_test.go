@@ -321,6 +321,7 @@ func TestSubmitValidation(t *testing.T) {
 		"bad payload":   {Payload: "not a design"},
 		"neg workers":   {Design: "tiny_hot", Workers: -1},
 		"huge priority": {Design: "tiny_hot", Priority: 10_000},
+		"huge grid":     {Design: "tiny_hot", GridHint: maxGridHint + 1},
 	} {
 		if _, err := m.Submit(spec); err == nil {
 			t.Errorf("%s: submit accepted %+v", name, spec)

@@ -182,6 +182,13 @@ func TestServerPauseResumeCancel(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad submit status = %d, want 400", resp.StatusCode)
 	}
+	// A grid this size would allocate gigabytes in density.New and be
+	// OOM-killed on every restart; it must be refused at the door.
+	resp = postJSON(t, ts.URL+"/jobs", Spec{Design: "tiny_hot", GridHint: 8192})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("grid 8192 submit status = %d, want 400", resp.StatusCode)
+	}
 }
 
 func waitViewState(t *testing.T, base, id string, want State) {

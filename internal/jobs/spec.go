@@ -115,11 +115,20 @@ func (s *Spec) Validate() error {
 	if s.GridHint < 0 || s.MaxWLIters < 0 || s.MaxRouteIters < 0 || s.StepsPerRouteIter < 0 {
 		return fmt.Errorf("jobs: option fields must be ≥ 0")
 	}
+	if s.GridHint > maxGridHint {
+		return fmt.Errorf("jobs: grid %d exceeds %d", s.GridHint, maxGridHint)
+	}
 	if s.Levels < 0 || s.Levels > 8 {
 		return fmt.Errorf("jobs: levels must be within [0, 8]")
 	}
 	return nil
 }
+
+// maxGridHint bounds a spec's grid: twice the largest core.DefaultGridHint.
+// The density model holds about 17 grid² float64 arrays (tiny_hot at grid
+// 2048 peaks at 1219 MiB), so a larger grid would only be OOM-killed and
+// relaunched until the retry budget is spent.
+const maxGridHint = 1024
 
 func (s *Spec) mode() (core.Mode, error) {
 	switch s.Mode {

@@ -187,6 +187,29 @@ func TestPoisonedJobIsQuarantined(t *testing.T) {
 	}
 }
 
+// TestNoRoomFailureIsNotRetried: a two-step xplace run of tiny_hot leaves
+// cells where legalization finds no room for one of them. That failure is
+// deterministic, so the supervisor must fail the job at once — no restart,
+// no quarantine — with the legalizer's message.
+func TestNoRoomFailureIsNotRetried(t *testing.T) {
+	m, err := Open(workerConfig(t, Config{Dir: t.TempDir()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	id, err := m.Submit(Spec{Design: "tiny_hot", Mode: "xplace", MaxWLIters: 2, MaxRouteIters: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := waitState(t, m, id, StateFailed)
+	if v.Restarts != 0 || v.Poisoned {
+		t.Errorf("restarts = %d, poisoned = %v; want 0, false", v.Restarts, v.Poisoned)
+	}
+	if !strings.Contains(v.Error, "no room for cell") {
+		t.Errorf("error %q does not name the legalization failure", v.Error)
+	}
+}
+
 // TestAdmissionShedsWhenQueueFull pins the queue-cap path: with one slot
 // busy and the queue at its cap, Submit must shed with ErrOverloaded (not
 // block, not grow the queue) and /readyz must report not-ready.

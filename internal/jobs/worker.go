@@ -26,9 +26,10 @@ package jobs
 //
 // Exit codes extend the placer CLI's contract (DESIGN.md §9): 0 done,
 // 1 generic error, 2 usage, 3 cancelled, 4 corrupt checkpoint, 5 degenerate
-// design, 6 guard failure, plus workerExitStopped (7) for a scheduled
-// boundary stop. Anything else — a panic-free crash, an injected crash, a
-// kill — is unclassified and triggers the supervisor's crash-resume path.
+// design, 6 guard failure, 8 no room to legalize, plus workerExitStopped
+// (7) for a scheduled boundary stop. Anything else — a panic-free crash, an
+// injected crash, a kill — is unclassified and triggers the supervisor's
+// crash-resume path.
 
 import (
 	"bytes"
@@ -50,12 +51,13 @@ import (
 	"repro/internal/designio"
 	"repro/internal/guard"
 	"repro/internal/guard/inject"
+	"repro/internal/legalize"
 	"repro/internal/telemetry"
 )
 
-// Worker exit codes. 0–6 mirror cmd/placer; 7 is the worker's scheduled
-// boundary stop (the CLI reports that as 0, but the supervisor must tell
-// "stopped as asked" from "finished").
+// Worker exit codes. 0–6 and 8 mirror cmd/placer; 7 is the worker's
+// scheduled boundary stop (the CLI reports that as 0, but the supervisor
+// must tell "stopped as asked" from "finished").
 const (
 	workerExitOK         = 0
 	workerExitError      = 1
@@ -65,6 +67,7 @@ const (
 	workerExitDegenerate = 5
 	workerExitGuard      = 6
 	workerExitStopped    = 7
+	workerExitNoRoom     = 8
 	// workerExitCrashInjected is what the WorkerCrash fault exits with —
 	// deliberately outside the classified range so the supervisor treats it
 	// exactly like a kill -9.
@@ -277,6 +280,9 @@ func RunWorker(args []string) (code int) {
 	case errors.Is(err, guard.ErrBudgetExhausted), errors.Is(err, guard.ErrViolation):
 		mux.control(ctlMsg{Type: "fail", Error: err.Error()})
 		return workerExitGuard
+	case errors.As(err, new(*legalize.NoRoomError)):
+		mux.control(ctlMsg{Type: "fail", Error: err.Error()})
+		return workerExitNoRoom
 	case err != nil:
 		mux.control(ctlMsg{Type: "fail", Error: err.Error()})
 		return workerExitError

@@ -21,6 +21,19 @@ import (
 	"repro/internal/telemetry"
 )
 
+// NoRoomError is legalization's deterministic failure: cell Cell fits in no
+// free row segment of the search window. The same design and global
+// placement fail the same way on every run, so retrying cannot help.
+type NoRoomError struct {
+	Cell int
+	Name string
+	W    float64
+}
+
+func (e *NoRoomError) Error() string {
+	return fmt.Sprintf("legalize: no room for cell %d (%s, w=%v)", e.Cell, e.Name, e.W)
+}
+
 // segment is a free interval [x0, x1) of one row.
 type segment struct {
 	x0, x1   float64
@@ -100,8 +113,8 @@ func New(d *netlist.Design) *Legalizer {
 }
 
 // Run legalizes all movable cells in place (updating their centers) and
-// returns the total and maximum displacement. An error is returned when a
-// cell cannot be placed anywhere (die over-full).
+// returns the total and maximum displacement. A *NoRoomError is returned
+// when a cell cannot be placed anywhere (die over-full).
 func (l *Legalizer) Run() (totalDisp, maxDisp float64, err error) {
 	return l.RunContext(context.Background())
 }
@@ -156,7 +169,7 @@ func (l *Legalizer) RunContext(ctx context.Context) (totalDisp, maxDisp float64,
 			}
 		}
 		if bestRow < 0 {
-			return totalDisp, maxDisp, fmt.Errorf("legalize: no room for cell %d (%s, w=%v)", ci, c.Name, c.W)
+			return totalDisp, maxDisp, &NoRoomError{Cell: ci, Name: c.Name, W: c.W}
 		}
 		ox, oy := c.X, c.Y
 		l.commit(bestRow, bestSeg, ci)

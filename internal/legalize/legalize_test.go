@@ -1,6 +1,7 @@
 package legalize
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/geom"
@@ -94,8 +95,10 @@ func TestLegalizeErrorsWhenOverfull(t *testing.T) {
 	b.Connect(0, n, 0, 0)
 	b.Connect(1, n, 0, 0)
 	d := b.MustBuild()
-	if _, _, err := New(d).Run(); err == nil {
-		t.Errorf("over-full die did not error")
+	_, _, err := New(d).Run()
+	var noRoom *NoRoomError
+	if !errors.As(err, &noRoom) {
+		t.Errorf("over-full die error = %v, want a *NoRoomError", err)
 	}
 }
 

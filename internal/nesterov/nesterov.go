@@ -11,11 +11,12 @@ import (
 )
 
 // Objective is the function being minimized. Eval writes the gradient at x
-// into grad (overwriting it) and returns the objective value. Precondition
-// rescales a raw gradient in place (ePlace divides by vertex degree + λ·area).
-// Clamp projects a candidate point back into the feasible box.
+// into grad (overwriting it); the method needs only the gradient, so no
+// objective value is asked for. Precondition rescales a raw gradient in
+// place (ePlace divides by vertex degree + λ·area). Clamp projects a
+// candidate point back into the feasible box.
 type Objective interface {
-	Eval(x []float64, grad []float64) float64
+	Eval(x []float64, grad []float64)
 	Precondition(grad []float64)
 	Clamp(x []float64)
 }
@@ -27,11 +28,10 @@ type Optimizer struct {
 	StepMin, StepMax float64
 
 	// OnStep, when non-nil, is invoked at the end of every Step with the
-	// 0-based cumulative step index (monotone across Resets), the objective
-	// value observed at the reference point and the step size used. The
-	// telemetry layer hangs off this; a nil hook adds no overhead and no
-	// allocations to the step.
-	OnStep func(iter int, val, step float64)
+	// 0-based cumulative step index (monotone across Resets) and the step
+	// size used. The telemetry layer hangs off this; a nil hook adds no
+	// overhead and no allocations to the step.
+	OnStep func(iter int, step float64)
 
 	steps int // cumulative Step calls
 
@@ -91,10 +91,9 @@ func (o *Optimizer) Reset(x0 []float64) {
 	o.first = true
 }
 
-// Step performs one Nesterov iteration and returns the objective value
-// observed at the reference point, together with the step size used.
-func (o *Optimizer) Step(obj Objective) (val, step float64) {
-	val = obj.Eval(o.v, o.g)
+// Step performs one Nesterov iteration and returns the step size used.
+func (o *Optimizer) Step(obj Objective) (step float64) {
+	obj.Eval(o.v, o.g)
 	obj.Precondition(o.g)
 
 	if o.first {
@@ -139,9 +138,9 @@ func (o *Optimizer) Step(obj Objective) (val, step float64) {
 	o.a = aNew
 	o.steps++
 	if o.OnStep != nil {
-		o.OnStep(o.steps-1, val, step)
+		o.OnStep(o.steps-1, step)
 	}
-	return val, step
+	return step
 }
 
 // Steps returns the cumulative number of Step calls (across Resets).

@@ -13,12 +13,18 @@ type quadratic struct {
 	precondK bool
 }
 
-func (q *quadratic) Eval(x, grad []float64) float64 {
+func (q *quadratic) Eval(x, grad []float64) {
+	for i := range x {
+		grad[i] = q.k[i] * (x[i] - q.c[i])
+	}
+}
+
+// value returns the quadratic's value at x.
+func (q *quadratic) value(x []float64) float64 {
 	var f float64
 	for i := range x {
 		d := x[i] - q.c[i]
 		f += 0.5 * q.k[i] * d * d
-		grad[i] = q.k[i] * d
 	}
 	return f
 }
@@ -92,12 +98,11 @@ func TestObjectiveDecreasesOverall(t *testing.T) {
 		q.c[i] = 5
 	}
 	o := New(make([]float64, n), 0.05)
-	first, _ := o.Step(q)
-	var last float64
-	for it := 0; it < 100; it++ {
-		last, _ = o.Step(q)
+	first := q.value(o.X())
+	for it := 0; it < 101; it++ {
+		o.Step(q)
 	}
-	if last >= first {
+	if last := q.value(o.U()); last >= first {
 		t.Errorf("objective did not decrease: first %v last %v", first, last)
 	}
 }
@@ -148,14 +153,14 @@ func TestStepClampsApply(t *testing.T) {
 	o.StepMax = 0.02
 	o.Step(q) // first step uses step0 regardless
 	for it := 0; it < 10; it++ {
-		if _, step := o.Step(q); step > 0.02+1e-15 {
+		if step := o.Step(q); step > 0.02+1e-15 {
 			t.Fatalf("step %v exceeds StepMax", step)
 		}
 	}
 	o2 := New([]float64{0}, 0.1)
 	o2.StepMin = 0.5
 	o2.Step(q)
-	if _, step := o2.Step(q); step < 0.5 {
+	if step := o2.Step(q); step < 0.5 {
 		t.Errorf("step %v below StepMin", step)
 	}
 }
@@ -174,17 +179,16 @@ func TestOnStepHookObservesEveryStep(t *testing.T) {
 	q := &quadratic{k: []float64{1}, c: []float64{10}}
 	o := New([]float64{0}, 0.1)
 	var iters []int
-	var vals, steps []float64
-	o.OnStep = func(it int, val, step float64) {
+	var steps, returned []float64
+	o.OnStep = func(it int, step float64) {
 		iters = append(iters, it)
-		vals = append(vals, val)
 		steps = append(steps, step)
 	}
 	for i := 0; i < 5; i++ {
-		o.Step(q)
+		returned = append(returned, o.Step(q))
 	}
 	o.Reset([]float64{0})
-	o.Step(q)
+	returned = append(returned, o.Step(q))
 	if o.Steps() != 6 || len(iters) != 6 {
 		t.Fatalf("hook saw %d steps, Steps()=%d, want 6", len(iters), o.Steps())
 	}
@@ -196,8 +200,10 @@ func TestOnStepHookObservesEveryStep(t *testing.T) {
 	if steps[0] != 0.1 {
 		t.Errorf("first hook step = %v, want step0", steps[0])
 	}
-	if vals[0] != 50 { // ½·1·10² at the origin
-		t.Errorf("first hook val = %v, want 50", vals[0])
+	for i := range steps {
+		if steps[i] != returned[i] {
+			t.Errorf("hook step %d = %v, Step returned %v", i, steps[i], returned[i])
+		}
 	}
 }
 
@@ -222,7 +228,7 @@ func benchStep(b *testing.B, hook bool) {
 	o := New(make([]float64, n), 0.05)
 	var sink float64
 	if hook {
-		o.OnStep = func(it int, val, step float64) { sink += val + step }
+		o.OnStep = func(it int, step float64) { sink += step }
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -250,11 +256,7 @@ func TestFasterThanPlainGradientDescent(t *testing.T) {
 	for it := 0; it < iters; it++ {
 		o.Step(q)
 	}
-	objAt := func(x []float64) float64 {
-		g := make([]float64, n)
-		return q.Eval(x, g)
-	}
-	nesterovObj := objAt(o.U())
+	nesterovObj := q.value(o.U())
 
 	// Plain GD with the same initial step.
 	x := make([]float64, n)
@@ -265,7 +267,7 @@ func TestFasterThanPlainGradientDescent(t *testing.T) {
 			x[i] -= 0.05 * g[i]
 		}
 	}
-	gdObj := objAt(x)
+	gdObj := q.value(x)
 	if nesterovObj > gdObj {
 		t.Errorf("nesterov %v worse than plain GD %v", nesterovObj, gdObj)
 	}

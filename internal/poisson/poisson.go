@@ -6,8 +6,10 @@
 //	n·∇ψ = 0             on ∂R
 //	∬ρ = ∬ψ = 0          (compatibility)
 //
-// The solver returns both the potential ψ and the field E = −∇ψ, which the
-// placer uses as the electrostatic force on cells. The same solver instance
+// Solve returns the field E = −∇ψ, which the placer uses as the electrostatic
+// force on cells; Potential synthesizes ψ itself from the same solve only for
+// the callers that read it (penalty values, energies, diagnostics). The same
+// solver instance
 // serves the cell-density term D(x,y) and the routing-congestion term C(x,y)
 // (paper Sec. II-B takes ρ = Dmd/Cap on the G-cell grid).
 //
@@ -41,17 +43,15 @@ type Solver struct {
 	wx []float64 // frequencies π·u/nx
 	wy []float64 // frequencies π·v/ny
 
-	coef   []float64                     // DCT-II coefficients of ρ, then scaled for ψ
-	coefEx []float64                     // coefficients scaled for Ex
-	coefEy []float64                     // coefficients scaled for Ey
+	coef   []float64                     // DCT-II coefficients of ρ from the last Solve
 	fil    []float64                     // spectral filter c_u·c_v/(nx·ny·(w_u²+w_v²))
 	filEx  []float64                     // fil · w_u (Ex differentiation)
 	filEy  []float64                     // fil · w_v (Ey differentiation)
-	colBuf [parallel.NumShards][]float64 // per-shard column gather, length max(nx, ny)
+	colBuf [parallel.NumShards][]float64 // per-shard row/column scratch, length max(nx, ny)
 	colOut [parallel.NumShards][]float64
 	tmpA   []float64 // nx*ny intermediates
 	tmpB   []float64
-	tmpC   []float64
+	psiOf  *Grid // grid whose Psi holds the last solve's potential, if any
 
 	stats parallel.Timing // accumulated cost of the parallel sections
 }
@@ -74,19 +74,16 @@ func NewSolver(nx, ny int) (*Solver, error) {
 			nx, ny, spectral.ErrNotPow2)
 	}
 	s := &Solver{
-		nx:     nx,
-		ny:     ny,
-		wx:     make([]float64, nx),
-		wy:     make([]float64, ny),
-		coef:   make([]float64, nx*ny),
-		coefEx: make([]float64, nx*ny),
-		coefEy: make([]float64, nx*ny),
-		fil:    make([]float64, nx*ny),
-		filEx:  make([]float64, nx*ny),
-		filEy:  make([]float64, nx*ny),
-		tmpA:   make([]float64, nx*ny),
-		tmpB:   make([]float64, nx*ny),
-		tmpC:   make([]float64, nx*ny),
+		nx:    nx,
+		ny:    ny,
+		wx:    make([]float64, nx),
+		wy:    make([]float64, ny),
+		coef:  make([]float64, nx*ny),
+		fil:   make([]float64, nx*ny),
+		filEx: make([]float64, nx*ny),
+		filEy: make([]float64, nx*ny),
+		tmpA:  make([]float64, nx*ny),
+		tmpB:  make([]float64, nx*ny),
 	}
 	tx, err := spectral.NewTrig(nx)
 	if err != nil {
@@ -164,17 +161,18 @@ func (s *Solver) NewGrid() *Grid {
 	}
 }
 
-// Solve computes ψ and E = −∇ψ for the charge density rho (length nx*ny,
-// row-major) into g. The DC component of rho is removed internally, enforcing
-// the compatibility condition; rho itself is not modified.
+// Solve computes the field E = −∇ψ for the charge density rho (length
+// nx*ny, row-major) into g.Ex and g.Ey. The DC component of rho is removed
+// internally, enforcing the compatibility condition; rho itself is not
+// modified. g.Psi is left as it is: Potential synthesizes ψ from this
+// solve's coefficients for the callers that read it.
 func (s *Solver) Solve(rho []float64, g *Grid) {
 	nx, ny := s.nx, s.ny
 	if len(rho) != nx*ny {
 		panic("poisson: rho length mismatch")
 	}
-	if g.NX != nx || g.NY != ny {
-		panic("poisson: grid dimension mismatch")
-	}
+	s.checkGrid(g)
+	s.psiOf = nil
 
 	// Forward 2-D DCT-II of rho: rows (x direction), then columns (y).
 	// Each row/column transform owns its output rows — no reduction.
@@ -184,86 +182,91 @@ func (s *Solver) Solve(rho []float64, g *Grid) {
 			tx.AnalyzeCos(s.tmpA[iy*nx:(iy+1)*nx], rho[iy*nx:(iy+1)*nx])
 		}
 	}))
-	s.stats.Add(parallel.For(s.Workers, nx, func(shard, lo, hi int) {
-		ty := s.trigY[shard]
-		col := s.colBuf[shard][:ny]
-		out := s.colOut[shard][:ny]
-		for ix := lo; ix < hi; ix++ {
-			for iy := 0; iy < ny; iy++ {
-				col[iy] = s.tmpA[iy*nx+ix]
-			}
-			ty.AnalyzeCos(out, col)
-			for v := 0; v < ny; v++ {
-				s.coef[v*nx+ix] = out[v]
-			}
-		}
-	}))
+	s.columns(s.tmpA, s.coef, (*spectral.Trig).AnalyzeCos)
 
-	// Scale coefficients by the precomputed spectral filter tables (DCT
-	// normalization, ψ's 1/(w_u²+w_v²) filter, and the E-field
-	// differentiation factors, all baked in at construction). The (0,0)
-	// entries of the tables are zero, which drops the DC mode
-	// (compatibility condition). Disjoint writes per coefficient row.
-	s.stats.Add(parallel.For(s.Workers, ny, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			for u := 0; u < nx; u++ {
-				i := v*nx + u
-				c := s.coef[i]
-				s.coef[i] = c * s.fil[i]
-				s.coefEx[i] = c * s.filEx[i]
-				s.coefEy[i] = c * s.filEy[i]
-			}
-		}
-	}))
-
-	// ψ: cosine synthesis in x then cosine synthesis in y.
+	// Scale each coefficient row by the precomputed spectral filter tables
+	// (DCT normalization, ψ's 1/(w_u²+w_v²) filter and the E-field
+	// differentiation factors, all baked in at construction) and synthesize
+	// along x. The (0,0) entries of the tables are zero, which drops the DC
+	// mode (compatibility condition).
 	// Ex = −∂ψ/∂x = Σ b·w_u·sin(w_u(x+½))·cos(w_v(y+½)): sine synth in x, cos in y.
 	// Ey symmetric.
 	s.stats.Add(parallel.For(s.Workers, ny, func(shard, lo, hi int) {
 		tx := s.trigX[shard]
+		rowEx := s.colBuf[shard][:nx]
+		rowEy := s.colOut[shard][:nx]
 		for v := lo; v < hi; v++ {
-			tx.SynthCosSin(nil, s.tmpA[v*nx:(v+1)*nx], s.coefEx[v*nx:(v+1)*nx])
-			tx.SynthCosSin(s.tmpB[v*nx:(v+1)*nx], nil, s.coef[v*nx:(v+1)*nx])
-			tx.SynthCosSin(s.tmpC[v*nx:(v+1)*nx], nil, s.coefEy[v*nx:(v+1)*nx])
+			row := v * nx
+			for u := 0; u < nx; u++ {
+				c := s.coef[row+u]
+				rowEx[u] = c * s.filEx[row+u]
+				rowEy[u] = c * s.filEy[row+u]
+			}
+			tx.SynthCosSin(nil, s.tmpA[row:row+nx], rowEx)
+			tx.SynthCosSin(s.tmpB[row:row+nx], nil, rowEy)
 		}
 	}))
-	// Now tmpA rows hold Ex's x-synthesis, tmpB rows ψ's, tmpC rows Ey's.
-	// Finish along y: ψ and Ex use cosine synthesis, Ey uses sine synthesis.
+	s.columns(s.tmpA, g.Ex, synthCos)
+	s.columns(s.tmpB, g.Ey, synthSin)
+}
+
+// Potential synthesizes the potential ψ of the last Solve into g.Psi: cosine
+// synthesis of the fil-scaled coefficients in x, then in y. Another call for
+// the same solve and grid returns at once.
+func (s *Solver) Potential(g *Grid) {
+	nx, ny := s.nx, s.ny
+	s.checkGrid(g)
+	if s.psiOf == g {
+		return
+	}
+	s.psiOf = g
+	s.stats.Add(parallel.For(s.Workers, ny, func(shard, lo, hi int) {
+		tx := s.trigX[shard]
+		rowPsi := s.colBuf[shard][:nx]
+		for v := lo; v < hi; v++ {
+			row := v * nx
+			for u := 0; u < nx; u++ {
+				rowPsi[u] = s.coef[row+u] * s.fil[row+u]
+			}
+			tx.SynthCosSin(s.tmpB[row:row+nx], nil, rowPsi)
+		}
+	}))
+	s.columns(s.tmpB, g.Psi, synthCos)
+}
+
+func synthCos(t *spectral.Trig, out, in []float64) { t.SynthCosSin(out, nil, in) }
+func synthSin(t *spectral.Trig, out, in []float64) { t.SynthCosSin(nil, out, in) }
+
+// columns applies a 1-D transform along y to every column of src, writing
+// the results to the same column of dst. Columns own their outputs.
+func (s *Solver) columns(src, dst []float64, transform func(t *spectral.Trig, out, in []float64)) {
+	nx, ny := s.nx, s.ny
 	s.stats.Add(parallel.For(s.Workers, nx, func(shard, lo, hi int) {
 		ty := s.trigY[shard]
 		col := s.colBuf[shard][:ny]
 		out := s.colOut[shard][:ny]
 		for ix := lo; ix < hi; ix++ {
 			for iy := 0; iy < ny; iy++ {
-				col[iy] = s.tmpB[iy*nx+ix]
+				col[iy] = src[iy*nx+ix]
 			}
-			ty.SynthCosSin(out, nil, col)
+			transform(ty, out, col)
 			for iy := 0; iy < ny; iy++ {
-				g.Psi[iy*nx+ix] = out[iy]
-			}
-
-			for iy := 0; iy < ny; iy++ {
-				col[iy] = s.tmpA[iy*nx+ix]
-			}
-			ty.SynthCosSin(out, nil, col)
-			for iy := 0; iy < ny; iy++ {
-				g.Ex[iy*nx+ix] = out[iy]
-			}
-
-			for iy := 0; iy < ny; iy++ {
-				col[iy] = s.tmpC[iy*nx+ix]
-			}
-			ty.SynthCosSin(nil, out, col)
-			for iy := 0; iy < ny; iy++ {
-				g.Ey[iy*nx+ix] = out[iy]
+				dst[iy*nx+ix] = out[iy]
 			}
 		}
 	}))
 }
 
+func (s *Solver) checkGrid(g *Grid) {
+	if g.NX != s.nx || g.NY != s.ny {
+		panic("poisson: grid dimension mismatch")
+	}
+}
+
 // Energy returns the total field energy ½·Σ ρ_i·ψ_i over the grid, the
 // discrete counterpart of the electrostatic penalty (paper Sec. II-A computes
-// it per cell; this grid form is used in tests and diagnostics).
+// it per cell; this grid form is used in tests and diagnostics). g.Psi must
+// hold the potential, synthesized by Solver.Potential.
 func Energy(rho []float64, g *Grid) float64 {
 	var e float64
 	for i, r := range rho {

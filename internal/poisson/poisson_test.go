@@ -41,6 +41,7 @@ func TestSolvePoissonResidual(t *testing.T) {
 	}
 	g := s.NewGrid()
 	s.Solve(rho, g)
+	s.Potential(g)
 
 	// Compare at interior points. The analytic solution for this single-mode
 	// rho has Laplacian exactly −rho in the continuum; the 5-point stencil
@@ -84,6 +85,7 @@ func TestFieldIsNegativeGradient(t *testing.T) {
 	}
 	g := s.NewGrid()
 	s.Solve(rho, g)
+	s.Potential(g)
 
 	var worst float64
 	var scale float64
@@ -119,6 +121,7 @@ func TestZeroMeanPotential(t *testing.T) {
 	}
 	g := s.NewGrid()
 	s.Solve(rho, g)
+	s.Potential(g)
 	var sum float64
 	for _, p := range g.Psi {
 		sum += p
@@ -137,6 +140,7 @@ func TestUniformDensityGivesZeroField(t *testing.T) {
 	}
 	g := s.NewGrid()
 	s.Solve(rho, g)
+	s.Potential(g)
 	for i := range g.Psi {
 		if math.Abs(g.Psi[i]) > 1e-9 || math.Abs(g.Ex[i]) > 1e-9 || math.Abs(g.Ey[i]) > 1e-9 {
 			t.Fatalf("uniform density produced nonzero potential/field at %d", i)
@@ -179,6 +183,7 @@ func TestEnergyPositive(t *testing.T) {
 		}
 		g := s.NewGrid()
 		s.Solve(rho, g)
+		s.Potential(g)
 		if e := Energy(rho, g); e <= 0 {
 			t.Errorf("trial %d: energy %g not positive", trial, e)
 		}
@@ -200,8 +205,10 @@ func TestEnergyDecreasesWhenSpread(t *testing.T) {
 	}
 	g := s.NewGrid()
 	s.Solve(concentrated, g)
+	s.Potential(g)
 	e1 := Energy(concentrated, g)
 	s.Solve(spread, g)
+	s.Potential(g)
 	e2 := Energy(spread, g)
 	if e2 >= e1 {
 		t.Errorf("spread energy %g not below concentrated energy %g", e2, e1)

@@ -86,8 +86,14 @@ func (f *FFT) transform(re, im []float64, sign float64) {
 			im[i], im[j] = im[j], im[i]
 		}
 	}
-	// Iterative Cooley-Tukey butterflies.
-	for size := 2; size <= n; size <<= 1 {
+	f.stages(re, im, sign, 2, n)
+}
+
+// stages runs the iterative Cooley-Tukey butterfly stages of sizes from,
+// 2·from, …, to on bit-reversed data.
+func (f *FFT) stages(re, im []float64, sign float64, from, to int) {
+	n := f.n
+	for size := from; size <= to; size <<= 1 {
 		half := size >> 1
 		step := n / size
 		for base := 0; base < n; base += size {

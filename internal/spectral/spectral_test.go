@@ -310,3 +310,101 @@ func BenchmarkAnalyzeCos256(b *testing.B) {
 		tr.AnalyzeCos(out, f)
 	}
 }
+
+// paddedAnalyzeCos and paddedSynth are the reference transforms: the input
+// zero-padded to 2n and run through the full FFT.Forward/Inverse path, the
+// whole output computed and the first n samples read.
+func paddedAnalyzeCos(t *Trig, dst, f []float64) {
+	n := t.n
+	re, im := make([]float64, 2*n), make([]float64, 2*n)
+	copy(re, f)
+	t.fft.Forward(re, im)
+	for u := 0; u < n; u++ {
+		dst[u] = re[u]*t.phC[u] + im[u]*t.phS[u]
+	}
+}
+
+func paddedSynth(t *Trig, cosOut, sinOut, F []float64) {
+	n := t.n
+	re, im := make([]float64, 2*n), make([]float64, 2*n)
+	for u := 0; u < n; u++ {
+		re[u] = F[u] * t.phC2[u]
+		im[u] = F[u] * t.phS[u]
+	}
+	t.fft.Inverse(re, im)
+	copy(cosOut, re[:n])
+	copy(sinOut, im[:n])
+}
+
+// specialInputs returns test vectors of length n: dense finite values with
+// ±0 and subnormals mixed in, sparse vectors of signed zeros and subnormals
+// (where the sign of a zero result is at stake), all −0, and dense vectors
+// carrying ±Inf or NaN.
+func specialInputs(rng *rand.Rand, n int) [][]float64 {
+	sub := math.Float64frombits(1) // smallest subnormal
+	specials := []float64{0, math.Copysign(0, -1), sub, -sub, 3 * sub, math.SmallestNonzeroFloat64 * 1e10}
+	dense := func() []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			if rng.Intn(4) == 0 {
+				v[i] = specials[rng.Intn(len(specials))]
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+		return v
+	}
+	sparse := make([]float64, n)
+	negZero := make([]float64, n)
+	for i := range sparse {
+		sparse[i] = specials[rng.Intn(len(specials))]
+		negZero[i] = math.Copysign(0, -1)
+	}
+	withInf, withNegInf, withNaN := dense(), dense(), dense()
+	withInf[rng.Intn(n)] = math.Inf(1)
+	withNegInf[rng.Intn(n)] = math.Inf(-1)
+	withNaN[rng.Intn(n)] = math.NaN()
+	return [][]float64{dense(), dense(), sparse, negZero, withInf, withNegInf, withNaN}
+}
+
+// sameBits reports whether two float64s are bit-identical (NaN payloads
+// and the sign of zero included).
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestTrimmedTransformsMatchPaddedFFTBitwise: the trimmed AnalyzeCos and
+// SynthCosSin give the full zero-padded FFT path's results bit for bit at
+// every plan length from 1 to 1024.
+func TestTrimmedTransformsMatchPaddedFFTBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for n := 1; n <= 1024; n *= 2 {
+		tr := mustTrig(t, n)
+		for vi, in := range specialInputs(rng, n) {
+			got, want := make([]float64, n), make([]float64, n)
+			tr.AnalyzeCos(got, in)
+			paddedAnalyzeCos(tr, want, in)
+			for i := range got {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("n=%d input %d: AnalyzeCos[%d] = %v (%#x), padded FFT %v (%#x)",
+						n, vi, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+			wantC, wantS := make([]float64, n), make([]float64, n)
+			paddedSynth(tr, wantC, wantS, in)
+			gotC, gotS := make([]float64, n), make([]float64, n)
+			tr.SynthCosSin(gotC, nil, in)
+			tr.SynthCosSin(nil, gotS, in)
+			for i := range gotC {
+				if !sameBits(gotC[i], wantC[i]) || !sameBits(gotS[i], wantS[i]) {
+					t.Fatalf("n=%d input %d: synth[%d] = (%v, %v), padded FFT (%v, %v)",
+						n, vi, i, gotC[i], gotS[i], wantC[i], wantS[i])
+				}
+			}
+			tr.SynthCosSin(gotC, gotS, in)
+			for i := range gotC {
+				if !sameBits(gotC[i], wantC[i]) || !sameBits(gotS[i], wantS[i]) {
+					t.Fatalf("n=%d input %d: paired synth[%d] differs from padded FFT", n, vi, i)
+				}
+			}
+		}
+	}
+}

@@ -68,6 +68,18 @@ func (t *Trig) Clone() *Trig {
 	return &c
 }
 
+// The transforms below are the length-2n FFT of a zero-padded input with
+// the work on known zeros and unread outputs left out, computing exactly the
+// floating-point operations of the full FFT path that reach the result:
+//
+//   - The padded input is written straight into bit-reversed order with the
+//     first butterfly stage folded into the load. Bit reversal puts input
+//     sample rev[2m] < n at position 2m and a padding zero at 2m+1, and the
+//     size-2 butterfly (twiddle 1, ±0) turns the pair into (v + 0, v − 0) =
+//     (v + 0, v). The + 0 stays: it maps −0 to +0 as the butterfly does.
+//   - The last stage produces only the outputs [0, n) that are read, and only
+//     the real or imaginary part the caller asked for.
+
 // AnalyzeCos writes the DCT-II of f into dst (both length n). dst and f may
 // alias.
 func (t *Trig) AnalyzeCos(dst, f []float64) {
@@ -77,17 +89,27 @@ func (t *Trig) AnalyzeCos(dst, f []float64) {
 	}
 	// Σ_x f[x] e^{-iπu(x+½)/n} = e^{-iπu/2n} · Σ_x f[x] e^{-2πi ux / 2n}:
 	// zero-pad f to length 2n, forward FFT, rotate by the half-sample phase.
-	copy(t.re[:n], f)
-	for i := n; i < 2*n; i++ {
-		t.re[i] = 0
+	re, im, rev := t.re, t.im, t.fft.rev
+	for m := 0; m < n; m++ {
+		v := f[rev[2*m]]
+		re[2*m] = v + 0
+		re[2*m+1] = v
+		im[2*m] = 0
+		im[2*m+1] = 0
 	}
-	for i := range t.im {
-		t.im[i] = 0
+	if n == 1 {
+		dst[0] = re[0]*t.phC[0] + im[0]*t.phS[0]
+		return
 	}
-	t.fft.Forward(t.re, t.im)
+	t.fft.stages(re, im, -1, 4, n)
+	cosT, sinT := t.fft.cosT, t.fft.sinT
 	for u := 0; u < n; u++ {
+		wr, wi := cosT[u], -sinT[u] // forward twiddle: sign −1
+		p := u + n
+		tr := re[p]*wr - im[p]*wi
+		ti := re[p]*wi + im[p]*wr
 		// Re(e^{-iθ}·(re+i·im)) = re·cosθ + im·sinθ
-		dst[u] = t.re[u]*t.phC[u] + t.im[u]*t.phS[u]
+		dst[u] = (re[u]+tr)*t.phC[u] + (im[u]+ti)*t.phS[u]
 	}
 }
 
@@ -101,19 +123,39 @@ func (t *Trig) SynthCosSin(cosOut, sinOut, F []float64) {
 	}
 	// Σ_u F[u] e^{+iπu(x+½)/n} = Σ_u (F[u] e^{iπu/2n}) e^{2πi ux / 2n}:
 	// rotate coefficients by the half-sample phase, zero-pad to 2n, inverse FFT.
-	for u := 0; u < n; u++ {
-		t.re[u] = F[u] * t.phC2[u]
-		t.im[u] = F[u] * t.phS[u]
+	re, im, rev := t.re, t.im, t.fft.rev
+	for m := 0; m < n; m++ {
+		u := rev[2*m]
+		a := F[u] * t.phC2[u]
+		b := F[u] * t.phS[u]
+		re[2*m] = a + 0
+		re[2*m+1] = a
+		im[2*m] = b + 0
+		im[2*m+1] = b
 	}
-	for i := n; i < 2*n; i++ {
-		t.re[i] = 0
-		t.im[i] = 0
+	if n == 1 {
+		if cosOut != nil {
+			cosOut[0] = re[0]
+		}
+		if sinOut != nil {
+			sinOut[0] = im[0]
+		}
+		return
 	}
-	t.fft.Inverse(t.re, t.im)
+	t.fft.stages(re, im, +1, 4, n)
+	cosT, sinT := t.fft.cosT, t.fft.sinT
 	if cosOut != nil {
-		copy(cosOut, t.re[:n])
+		for x := 0; x < n; x++ {
+			wr, wi := cosT[x], sinT[x]
+			p := x + n
+			cosOut[x] = re[x] + (re[p]*wr - im[p]*wi)
+		}
 	}
 	if sinOut != nil {
-		copy(sinOut, t.im[:n])
+		for x := 0; x < n; x++ {
+			wr, wi := cosT[x], sinT[x]
+			p := x + n
+			sinOut[x] = im[x] + (re[p]*wi + im[p]*wr)
+		}
 	}
 }

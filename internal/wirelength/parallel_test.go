@@ -67,3 +67,133 @@ func TestEvaluateStatsAccumulate(t *testing.T) {
 		t.Errorf("stats not accumulated: %+v", m.Stats())
 	}
 }
+
+// scatterReference is the WA evaluation as a scatter into NumShards zeroed
+// per-shard gradient buffers merged in ascending shard order, each net
+// reading its pins once per axis and recomputing the min-side exponential
+// in the gradient loop — the kernel the per-pin gather must reproduce bit
+// for bit.
+func scatterReference(d *netlist.Design, gamma float64, grad []float64) float64 {
+	shardGrad := parallel.NewShards(2 * len(d.Cells))
+	var parts [parallel.NumShards]float64
+	for s := 0; s < parallel.NumShards; s++ {
+		lo, hi := parallel.Range(s, len(d.Nets))
+		sg := shardGrad[s]
+		var total float64
+		for e := lo; e < hi; e++ {
+			net := &d.Nets[e]
+			if net.Degree() < 2 {
+				continue
+			}
+			w := net.Weight
+			if w == 0 {
+				w = 1
+			}
+			for axis := 0; axis < 2; axis++ {
+				coords := make([]float64, len(net.Pins))
+				for k, pi := range net.Pins {
+					if p := d.PinPos(pi); axis == 0 {
+						coords[k] = p.X
+					} else {
+						coords[k] = p.Y
+					}
+				}
+				lo, hi := coords[0], coords[0]
+				for _, c := range coords[1:] {
+					if c < lo {
+						lo = c
+					}
+					if c > hi {
+						hi = c
+					}
+				}
+				expP := make([]float64, len(coords))
+				var sP, sxP, sN, sxN float64
+				for k, c := range coords {
+					ep := math.Exp((c - hi) / gamma)
+					en := math.Exp((lo - c) / gamma)
+					expP[k] = ep
+					sP += ep
+					sxP += c * ep
+					sN += en
+					sxN += c * en
+				}
+				total += w * (sxP/sP - sxN/sN)
+				for k, pi := range net.Pins {
+					c := coords[k]
+					en := math.Exp((lo - c) / gamma)
+					dMax := expP[k] * ((1+c/gamma)*sP - sxP/gamma) / (sP * sP)
+					dMin := en * ((1-c/gamma)*sN + sxN/gamma) / (sN * sN)
+					sg[2*d.Pins[pi].Cell+axis] += w * (dMax - dMin)
+				}
+			}
+		}
+		parts[s] = total
+	}
+	parallel.MergeFloats(grad, shardGrad)
+	return parallel.SumShards(&parts)
+}
+
+// TestGatherMatchesScatterReference: the per-pin slots and per-cell gather
+// give the scatter-and-merge reference's WA total and gradient bit for bit,
+// at several worker counts, on a fresh gradient and on one that already
+// holds values — −0 on pinless cells included.
+func TestGatherMatchesScatterReference(t *testing.T) {
+	d := meshDesign(t)
+	// Pinless cells, a single-pin net, pins of one cell twice on a net and
+	// net weights exercise every branch of the gather.
+	b := netlist.NewBuilder("mesh+", d.Die, 8, 1)
+	for i := range d.Cells {
+		c := &d.Cells[i]
+		b.AddCell("c", netlist.StdCell, c.X, c.Y, c.W, c.H)
+	}
+	for i := 0; i < 5; i++ {
+		b.AddCell("lonely", netlist.StdCell, 10*float64(i), 500, 2, 8)
+	}
+	for e := range d.Nets {
+		n := b.AddNet("n", float64(1+e%3))
+		for _, pi := range d.Nets[e].Pins {
+			p := &d.Pins[pi]
+			b.Connect(p.Cell, n, float64(e%5)-2, float64(e%7)-3)
+		}
+	}
+	b.Connect(7, b.AddNet("single", 1), 0, 0)
+	dup := b.AddNet("dup", 1)
+	b.Connect(3, dup, -1, 0)
+	b.Connect(9, dup, 0, 0)
+	b.Connect(3, dup, 1, 0)
+	d = b.MustBuild()
+
+	for _, init := range []string{"zero", "signed"} {
+		fill := func(g []float64) {
+			for i := range g {
+				switch {
+				case init == "zero":
+					g[i] = 0
+				case i%3 == 0:
+					g[i] = math.Copysign(0, -1)
+				default:
+					g[i] = float64(i%11) - 5.5
+				}
+			}
+		}
+		ref := make([]float64, 2*len(d.Cells))
+		fill(ref)
+		refWA := scatterReference(d, 4.0, ref)
+		for _, w := range []int{1, 2, 16} {
+			m := New(d, 4.0)
+			m.Workers = w
+			grad := make([]float64, 2*len(d.Cells))
+			fill(grad)
+			wa := m.EvaluateWithGrad(grad)
+			if math.Float64bits(wa) != math.Float64bits(refWA) {
+				t.Errorf("%s, workers=%d: WA %v != reference %v (bitwise)", init, w, wa, refWA)
+			}
+			for i := range grad {
+				if math.Float64bits(grad[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("%s, workers=%d: grad[%d] = %v, reference %v (bitwise)", init, w, i, grad[i], ref[i])
+				}
+			}
+		}
+	}
+}

@@ -4,9 +4,9 @@
 // and the overflow-driven smoothing-parameter (γ) schedule of ePlace.
 //
 // Evaluation is net-parallel over the internal/parallel shard layer: each
-// shard accumulates its nets' WA total and scatter-adds gradients into a
-// shard-private buffer, and the shards are merged in fixed index order —
-// so the result is byte-identical for every worker count.
+// shard accumulates its nets' WA total and writes every pin's gradient into
+// that pin's own slot, and a per-cell gather then sums the slots in the
+// fixed shard tree — so the result is byte-identical for every worker count.
 package wirelength
 
 import (
@@ -27,11 +27,25 @@ type Model struct {
 	d     *netlist.Design
 	gamma float64
 
-	// Per-shard state: gradient accumulators (merged in shard order) and
-	// exponential scratch sized to the max net degree.
-	shardGrad [][]float64
-	shardEx   [parallel.NumShards][]float64
-	shardEn   [parallel.NumShards][]float64
+	// Per-pin gradient slots: net e's pin k owns slot netStart[e]+k, which
+	// holds its weighted [gx, gy] at slot[2·s], slot[2·s+1]. Only the shard
+	// that owns net e writes them, so the net pass needs no merge.
+	netStart []int32
+	slot     []float64
+
+	// Per-cell gather, built once by New. Cell c's slots, in ascending slot
+	// (= net, then pin) order, are split into runs by the shard of their
+	// net: run r covers gatherSlot[runEnd[r-1]:runEnd[r]], and cell c owns
+	// runs [cellRun[c], cellRun[c+1]).
+	gatherSlot []int32
+	runEnd     []int32
+	cellRun    []int32
+
+	// Per-shard scratch sized to the max net degree: pin coordinates and
+	// the max/min-side exponentials of one axis.
+	shardX, shardY [parallel.NumShards][]float64
+	shardEp        [parallel.NumShards][]float64
+	shardEn        [parallel.NumShards][]float64
 
 	stats parallel.Timing
 }
@@ -40,18 +54,76 @@ type Model struct {
 // characteristic length (typically the bin size).
 func New(d *netlist.Design, gamma float64) *Model {
 	maxDeg := 2
-	for i := range d.Nets {
-		if deg := d.Nets[i].Degree(); deg > maxDeg {
-			maxDeg = deg
-		}
+	m := &Model{d: d, gamma: gamma, netStart: make([]int32, len(d.Nets)+1)}
+	for e := range d.Nets {
+		deg := d.Nets[e].Degree()
+		maxDeg = max(maxDeg, deg)
+		m.netStart[e+1] = m.netStart[e] + int32(deg)
 	}
-	m := &Model{d: d, gamma: gamma}
-	m.shardGrad = parallel.NewShards(2 * len(d.Cells))
+	m.slot = make([]float64, 2*m.netStart[len(d.Nets)])
 	for s := 0; s < parallel.NumShards; s++ {
-		m.shardEx[s] = make([]float64, maxDeg)
+		m.shardX[s] = make([]float64, maxDeg)
+		m.shardY[s] = make([]float64, maxDeg)
+		m.shardEp[s] = make([]float64, maxDeg)
 		m.shardEn[s] = make([]float64, maxDeg)
 	}
+	m.buildGather()
 	return m
+}
+
+// buildGather indexes every gradient-carrying pin slot by its cell; nets of
+// degree < 2 carry no gradient and are left out. Pass 0 counts each cell's
+// slots and runs, pass 1 fills them. Nets are walked in ascending order, so
+// a cell's slots come out ascending and each shard yields one run per cell.
+func (m *Model) buildGather() {
+	d := m.d
+	n := len(d.Cells)
+	slotStart := make([]int32, n+1)
+	m.cellRun = make([]int32, n+1)
+	lastShard := make([]int, n)
+	var slotPos, runPos []int32
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			for c := 0; c < n; c++ {
+				slotStart[c+1] += slotStart[c]
+				m.cellRun[c+1] += m.cellRun[c]
+			}
+			m.gatherSlot = make([]int32, slotStart[n])
+			m.runEnd = make([]int32, m.cellRun[n])
+			slotPos = append([]int32(nil), slotStart[:n]...)
+			runPos = append([]int32(nil), m.cellRun[:n]...)
+		}
+		for c := range lastShard {
+			lastShard[c] = -1
+		}
+		for s := 0; s < parallel.NumShards; s++ {
+			lo, hi := parallel.Range(s, len(d.Nets))
+			for e := lo; e < hi; e++ {
+				net := &d.Nets[e]
+				if net.Degree() < 2 {
+					continue
+				}
+				for k, pi := range net.Pins {
+					c := d.Pins[pi].Cell
+					newRun := lastShard[c] != s
+					lastShard[c] = s
+					if pass == 0 {
+						slotStart[c+1]++
+						if newRun {
+							m.cellRun[c+1]++
+						}
+						continue
+					}
+					m.gatherSlot[slotPos[c]] = m.netStart[e] + int32(k)
+					slotPos[c]++
+					if newRun {
+						runPos[c]++
+					}
+					m.runEnd[runPos[c]-1] = slotPos[c]
+				}
+			}
+		}
+	}
 }
 
 // Gamma returns the current smoothing parameter.
@@ -82,72 +154,90 @@ func (m *Model) UpdateGamma(base, overflow float64) {
 // zero the slice when they need a fresh gradient); entries for fixed cells
 // are accumulated too and it is the caller's choice to ignore them.
 //
-// Nets are processed shard-parallel; per-cell contributions land in the
-// fixed net-index order regardless of the worker count.
+// Nets are processed shard-parallel into per-pin slots; the gather then
+// adds to each cell, per shard in ascending order, that shard's slots
+// summed from +0 in net order — the summation tree of a scatter into
+// zeroed per-shard buffers merged in shard order. A shard holding none of
+// the cell's pins would add +0, which changes no value other than −0; the
+// gather adds that +0 explicitly to a cell without any pins, so every
+// input, −0 included, accumulates to the same bits for any worker count.
 func (m *Model) EvaluateWithGrad(grad []float64) float64 {
 	d := m.d
 	if grad != nil && len(grad) != 2*len(d.Cells) {
 		panic("wirelength: gradient length mismatch")
 	}
-	if grad != nil {
-		parallel.ZeroFloats(m.shardGrad)
-	}
 	var parts [parallel.NumShards]float64
 	m.stats.Add(parallel.For(m.Workers, len(d.Nets), func(shard, lo, hi int) {
-		var sg []float64
-		if grad != nil {
-			sg = m.shardGrad[shard]
-		}
-		coords := m.shardEx[shard]
-		expP := m.shardEn[shard]
+		xs, ys := m.shardX[shard], m.shardY[shard]
+		ep, en := m.shardEp[shard], m.shardEn[shard]
 		var total float64
 		for e := lo; e < hi; e++ {
 			net := &d.Nets[e]
-			if net.Degree() < 2 {
+			n := len(net.Pins)
+			if n < 2 {
 				continue
 			}
 			w := net.Weight
 			if w == 0 {
 				w = 1
 			}
-			total += w * m.netWA(net, sg, w, axisX, coords, expP)
-			total += w * m.netWA(net, sg, w, axisY, coords, expP)
+			for k, pi := range net.Pins {
+				p := d.PinPos(pi)
+				xs[k], ys[k] = p.X, p.Y
+			}
+			var sg []float64
+			if grad != nil {
+				s0 := 2 * int(m.netStart[e])
+				sg = m.slot[s0 : s0+2*n]
+			}
+			total += w * m.axisWA(xs[:n], ep, en, sg, w, 0)
+			total += w * m.axisWA(ys[:n], ep, en, sg, w, 1)
 		}
 		parts[shard] = total
 	}))
 	if grad != nil {
-		parallel.MergeFloats(grad, m.shardGrad)
+		m.stats.Add(parallel.For(m.Workers, len(d.Cells), func(_, lo, hi int) {
+			m.gather(grad, lo, hi)
+		}))
 	}
 	return parallel.SumShards(&parts)
+}
+
+// gather adds the slot gradients of cells [lo, hi) into grad.
+func (m *Model) gather(grad []float64, lo, hi int) {
+	k := int32(0)
+	if r := m.cellRun[lo]; r > 0 {
+		k = m.runEnd[r-1]
+	}
+	for c := lo; c < hi; c++ {
+		r0, r1 := m.cellRun[c], m.cellRun[c+1]
+		if r0 == r1 {
+			grad[2*c] += 0
+			grad[2*c+1] += 0
+			continue
+		}
+		for r := r0; r < r1; r++ {
+			var px, py float64
+			for end := m.runEnd[r]; k < end; k++ {
+				s := m.gatherSlot[k]
+				px += m.slot[2*s]
+				py += m.slot[2*s+1]
+			}
+			grad[2*c] += px
+			grad[2*c+1] += py
+		}
+	}
 }
 
 // Evaluate returns the total WA wirelength without gradients.
 func (m *Model) Evaluate() float64 { return m.EvaluateWithGrad(nil) }
 
-type axis int
-
-const (
-	axisX axis = iota
-	axisY
-)
-
-// netWA computes the WA length of one net along one axis and accumulates the
-// (weighted) gradient into grad (shard-private; nil skips gradients). The
-// max/min-shifted exponentials keep the computation stable for any
-// coordinate magnitude. coords and expP are caller-provided scratch sized
+// axisWA computes the WA length of one net along one axis from its pin
+// coordinates and, when sg is non-nil, writes each pin's weighted gradient
+// to sg[2·k+off]. The max/min-shifted exponentials keep the computation
+// stable for any coordinate magnitude; ep and en are caller scratch sized
 // to at least the net degree.
-func (m *Model) netWA(net *netlist.Net, grad []float64, w float64, ax axis, coords, expP []float64) float64 {
-	d := m.d
-	n := len(net.Pins)
-	coords = coords[:n]
-	for k, pi := range net.Pins {
-		p := d.PinPos(pi)
-		if ax == axisX {
-			coords[k] = p.X
-		} else {
-			coords[k] = p.Y
-		}
-	}
+func (m *Model) axisWA(coords, ep, en, sg []float64, w float64, off int) float64 {
 	lo, hi := coords[0], coords[0]
 	for _, c := range coords[1:] {
 		if c < lo {
@@ -160,38 +250,28 @@ func (m *Model) netWA(net *netlist.Net, grad []float64, w float64, ax axis, coor
 	g := m.gamma
 	// Positive side (max approximation), shifted by hi.
 	// Negative side (min approximation), shifted by lo.
-	expP = expP[:n]
 	var sP, sxP, sN, sxN float64
 	for k, c := range coords {
-		ep := math.Exp((c - hi) / g)
-		en := math.Exp((lo - c) / g)
-		expP[k] = ep // store positive exp; negative recomputed below (cheap)
-		sP += ep
-		sxP += c * ep
-		sN += en
-		sxN += c * en
+		p := math.Exp((c - hi) / g)
+		q := math.Exp((lo - c) / g)
+		ep[k], en[k] = p, q
+		sP += p
+		sxP += c * p
+		sN += q
+		sxN += c * q
 	}
-	waMax := sxP / sP
-	waMin := sxN / sN
-	length := waMax - waMin
-
-	if grad != nil {
-		for k, pi := range net.Pins {
-			c := coords[k]
-			ep := expP[k]
-			en := math.Exp((lo - c) / g)
-			// d(waMax)/dc_k = ep·((1 + c/g)·sP − sxP/g)/sP²
-			// d(waMin)/dc_k = en·((1 − c/g)·sN + sxN/g)/sN²
-			dMax := ep * ((1+c/g)*sP - sxP/g) / (sP * sP)
-			dMin := en * ((1-c/g)*sN + sxN/g) / (sN * sN)
-			gv := w * (dMax - dMin)
-			ci := d.Pins[pi].Cell
-			if ax == axisX {
-				grad[2*ci] += gv
-			} else {
-				grad[2*ci+1] += gv
-			}
-		}
+	length := sxP/sP - sxN/sN
+	if sg == nil {
+		return length
+	}
+	// d(waMax)/dc_k = ep·((1 + c/g)·sP − sxP/g)/sP²
+	// d(waMin)/dc_k = en·((1 − c/g)·sN + sxN/g)/sN²
+	xP, sP2 := sxP/g, sP*sP
+	xN, sN2 := sxN/g, sN*sN
+	for k, c := range coords {
+		dMax := ep[k] * ((1+c/g)*sP - xP) / sP2
+		dMin := en[k] * ((1-c/g)*sN + xN) / sN2
+		sg[2*k+off] = w * (dMax - dMin)
 	}
 	return length
 }

@@ -243,3 +243,27 @@ func BenchmarkEvaluateWithGrad(b *testing.B) {
 		m.EvaluateWithGrad(grad)
 	}
 }
+
+// TestWAHPWLLSESandwich: WA ≤ HPWL ≤ LSE at the same γ, with the classical
+// log-sum-exp upper bound γ·ln Σe^{x/γ} + γ·ln Σe^{−x/γ} per axis computed
+// here in closed form.
+func TestWAHPWLLSESandwich(t *testing.T) {
+	xs, ys := []float64{0, 12, 37, 50}, []float64{3, -9, 14, 2}
+	d := chainDesign(t, xs, ys)
+	hp := d.HPWL()
+	lseAxis := func(cs []float64, g float64) float64 {
+		var sp, sn float64
+		for _, c := range cs {
+			sp += math.Exp(c / g)
+			sn += math.Exp(-c / g)
+		}
+		return g*math.Log(sp) + g*math.Log(sn)
+	}
+	for _, g := range []float64{0.5, 2, 8} {
+		wa := New(d, g).Evaluate()
+		lse := lseAxis(xs, g) + lseAxis(ys, g)
+		if !(wa <= hp+1e-9 && hp <= lse+1e-9) {
+			t.Errorf("γ=%v: sandwich violated: WA %v, HPWL %v, LSE %v", g, wa, hp, lse)
+		}
+	}
+}
