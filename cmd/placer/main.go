@@ -50,28 +50,15 @@
 //	-wliters n         cap phase-1 wirelength iterations (0 = default 400);
 //	                   with -riters, bounds the per-level work on the
 //	                   *_big designs (see README "Scaling to 1M cells")
+//	-ml-warm-start     with -levels ≥ 2, start each finer level's phase 1
+//	                   from the coarse level's converged state (λ₁ growth
+//	                   and density overflow) instead of from scratch
 //
 // Robustness flags:
 //
 //	-guard p           numeric guardrail policy: off (default), warn,
 //	                   recover or fail — see DESIGN.md §9
 //	-guard-retries n   divergence-recovery retry budget for -guard recover
-//
-// Performance flags:
-//
-//	-predict           gate router calls with the learned congestion
-//	                   predictor (DESIGN.md §13): fresh routability
-//	                   iterations whose predicted utilization drift since
-//	                   the last real router call is below the threshold
-//	                   skip the call and seed inflation from the predicted
-//	                   map instead. Off by default; -predict runs stay
-//	                   byte-identical across -workers values and
-//	                   checkpoint/resume
-//	-predict-threshold t  skip threshold on the predicted mean |Δutil|
-//	                   (0 = default 0.05, negative = never skip)
-//	-ml-warm-start     with -levels ≥ 2, start each finer level's phase 1
-//	                   from the coarse level's converged state (λ₁ growth
-//	                   and density overflow) instead of from scratch
 //
 // Exit codes: 0 success (or scheduled checkpoint stop), 1 generic error,
 // 2 usage error, 3 cancelled/timed out, 4 corrupted checkpoint,
@@ -140,8 +127,6 @@ func run() (code int) {
 	outPath := flag.String("out", "", "write the final placement to this file (designio format)")
 	guardFlag := flag.String("guard", "", "numeric guardrail policy: off | warn | recover | fail")
 	guardRetries := flag.Int("guard-retries", 0, "divergence-recovery retry budget for -guard recover (0 = default)")
-	predictFlag := flag.Bool("predict", false, "gate router calls with the learned congestion predictor (DESIGN.md §13)")
-	predictThreshold := flag.Float64("predict-threshold", 0, "predicted mean |Δutil| below which a router call is skipped (0 = default 0.05, negative = never skip)")
 	mlWarm := flag.Bool("ml-warm-start", false, "warm-start λ₁/γ at finer multilevel levels from the coarse level's converged state (requires -levels ≥ 2)")
 	serveAddr := flag.String("serve", "", "serve the live HTML dashboard at this address (e.g. localhost:8080)")
 	flag.Parse()
@@ -170,10 +155,9 @@ func run() (code int) {
 		return 1
 	}
 	opt := core.Options{GridHint: *grid, MaxRouteIters: *riters, MaxWLIters: *wliters, Workers: *workers,
-		Levels: *levels, ClusterMaxSize: *clusterMax,
+		Levels: *levels, ClusterMaxSize: *clusterMax, MLWarmStart: *mlWarm,
 		Tech:           core.Techniques{MCI: *mci, DC: *dc, DPA: *dpa},
 		CheckpointPath: *ckptPath, CheckpointAfter: *ckptAfter,
-		Predict: *predictFlag, PredictThreshold: *predictThreshold, MLWarmStart: *mlWarm,
 		Guard: guard.Config{Policy: guardPolicy, MaxRetries: *guardRetries}}
 	switch *mode {
 	case "xplace":

@@ -131,29 +131,6 @@ type Options struct {
 	// cap entirely.
 	ClusterMaxSize int
 
-	// Predict enables the learned congestion pre-oracle (internal/predict):
-	// a ridge regression over RUDY, pin-density and macro-proximity feature
-	// planes, fitted online against the router's own utilization maps. Every
-	// fresh route iteration first asks the oracle how much the predicted
-	// per-G-cell utilization has drifted since the last REAL router call;
-	// below PredictThreshold the call is skipped (route.skipped_calls) and
-	// the predicted utilization seeds cell inflation instead, so bloating
-	// keeps tracking congestion without paying for routing. Off by default:
-	// runs without it are byte-identical to builds without the predictor
-	// (no predict.* metrics ever enter the registry). With it on, runs stay
-	// byte-identical across Workers settings and checkpoint/resume — the
-	// feature planes are shard-merged deterministically and the fitted
-	// weights serialize through the checkpoint.
-	Predict bool
-	// PredictThreshold is the skip gate: a route call is skipped only when
-	// the mean absolute predicted-utilization delta per G-cell since the
-	// last real call stays below it AND the loop is already in a
-	// non-improving stretch (the last real call did not beat the best
-	// overflow score), so improving iterations always see the real router.
-	// Sentinel convention: 0 selects the default 0.05, a negative value
-	// selects threshold 0 (never skip). Only meaningful with Predict.
-	PredictThreshold float64
-
 	// MLWarmStart warm-starts λ₁ and γ at the finer multilevel levels from
 	// the coarse level's converged phase-1 state instead of re-running the
 	// full wirelength ramp: the fine level's ePlace λ₁ initialization is
@@ -296,15 +273,6 @@ func (o *Options) setDefaults(numCells int) {
 			o.ClusterMaxSize = 1 << (2 * (o.Levels - 1)) // 4^(Levels−1)
 		} else if o.ClusterMaxSize < 0 {
 			o.ClusterMaxSize = 0 // no cap
-		}
-	}
-	if o.Predict {
-		// PredictThreshold follows the sentinel convention: 0 = default,
-		// negative = literal zero (the gate then never skips).
-		if o.PredictThreshold == 0 {
-			o.PredictThreshold = 0.05
-		} else if o.PredictThreshold < 0 {
-			o.PredictThreshold = 0
 		}
 	}
 	if o.Guard.Enabled() {

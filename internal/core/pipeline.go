@@ -48,7 +48,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/parallel"
 	"repro/internal/pgrail"
-	"repro/internal/predict"
 	"repro/internal/route"
 	"repro/internal/telemetry"
 	"repro/internal/wirelength"
@@ -158,14 +157,6 @@ type PlacementState struct {
 	// mask handed to the router (both reused each iteration).
 	lastRoutedPos []float64
 	movedMask     []bool
-
-	// Learned congestion pre-oracle (Options.Predict): the feature planes
-	// recomputed every fresh route iteration and the online ridge model
-	// that gates router calls and seeds inflation between them. Both nil
-	// when the predictor is off; orc's mutable state serializes through
-	// the checkpoint (the predict record), feat is pure scratch.
-	feat *route.FeatureMaps
-	orc  *predict.Oracle
 
 	// warmStarted marks that this level's phase 1 was seeded from the
 	// coarse level's converged state (Options.MLWarmStart), which lowers
@@ -759,18 +750,6 @@ func (ps *PlacementState) routabilityLoop(ctx context.Context, p2 *telemetry.Spa
 	nesterovResets := obs.Counter("nesterov.resets")
 	poissonSolves := obs.Counter("poisson.solves")
 
-	// Predictor metrics are created ONLY when the predictor is on: a lazily
-	// created metric changes the canonical registry snapshot, and the
-	// predictor-off trace must stay byte-identical to builds without it.
-	var skippedCalls, predictFits, predictGates *telemetry.Counter
-	var gateDelta *telemetry.Gauge
-	if opt.Predict {
-		skippedCalls = obs.Counter("route.skipped_calls")
-		predictFits = obs.Counter("predict.fits")
-		predictGates = obs.Counter("predict.gates")
-		gateDelta = obs.Gauge("predict.gate_delta")
-	}
-
 	if !ps.loopReady {
 		if err := ps.loopPrologue(); err != nil {
 			p2.End()
@@ -789,17 +768,6 @@ func (ps *PlacementState) routabilityLoop(ctx context.Context, p2 *telemetry.Spa
 	ps.rtr.Workers = opt.Workers
 	ps.rtr.CacheHits = obs.Counter("route.decompose_cache_hits")
 	ps.rtr.DirtyNets = obs.Counter("route.dirty_nets")
-	// The oracle survives checkpoint restore (restoreLoop rebuilds it with
-	// its serialized state); the feature planes are recomputed every fresh
-	// iteration and need no serialization.
-	if opt.Predict {
-		if ps.orc == nil {
-			ps.orc = predict.New(ps.grid, len(d.Pins))
-		}
-		if ps.feat == nil {
-			ps.feat = route.NewFeatureMaps(ps.grid)
-		}
-	}
 
 	for it := ps.cur.iter; it < opt.MaxRouteIters; it++ {
 		fromStep := -1
@@ -817,204 +785,110 @@ func (ps *PlacementState) routabilityLoop(ctx context.Context, p2 *telemetry.Spa
 			}
 			ps.obj.scatter(ps.optm.U())
 
-			// Learned pre-oracle gate: extract the feature planes at the
-			// positions this iteration would route, and skip the router
-			// call when the predicted utilization has barely drifted since
-			// the last real call. The gate decision is a pure function of
-			// the (deterministic) planes and the (serialized) model state,
-			// so it replays identically across worker counts and resume.
-			gateSkip := false
-			var gdelta float64
-			if opt.Predict {
-				psp := ps.startSpan("predict")
-				ps.feat.Update(d, ps.grid, opt.Workers)
-				gdelta, gateSkip = ps.orc.Gate(ps.feat, opt.PredictThreshold)
-				psp.End()
-				predictGates.Inc()
-				gateDelta.Set(gdelta)
-				// Arm the gate only inside a non-improving stretch (the last
-				// real call did not beat the best overflow score): improving
-				// iterations always get the real router, so the trajectory
-				// up to each improvement is identical to a predictor-off
-				// run, and skips target exactly the calls whose result the
-				// loop would discard anyway. ps.stall is serialized, so the
-				// arming decision replays identically on resume.
-				if ps.stall == 0 {
-					gateSkip = false
-				}
+			itSp = ps.startSpan("route_iter")
+			ps.feedPositionDelta()
+			sp := ps.startSpan("route")
+			rres, err := ps.rtr.RouteContext(ctx)
+			if err != nil {
+				sp.End()
+				itSp.End()
+				ps.cur = cursor{stage: "routability", iter: it, step: -1}
+				return err
 			}
-			if gateSkip {
-				// Skipped call: the frozen demand snapshot stays in effect
-				// (no congestion-model update; route.calls, CongestionHistory
-				// and best-placement tracking all advance on REAL calls
-				// only). The predicted utilization seeds inflation so
-				// bloating keeps tracking congestion. A skip does count
-				// toward the stall patience: the frozen overflow score by
-				// construction does not decrease, so the loop terminates no
-				// later than it would with the router in the loop.
-				itSp = ps.startSpan("predict_iter")
-				skippedCalls.Inc()
+			sp.End()
+			routeCalls.Inc()
+			ripupRounds.Add(int64(rres.RoundsRun))
+			routeSegs.Add(int64(rres.Segments))
+			// Track the same superlinear overflow shape the post-route DRV
+			// oracle scores, so "C(x,y) no longer decreases" and the final
+			// evaluation agree on what an improvement is.
+			wc := overflowScore(rres)
+			res.CongestionHistory = append(res.CongestionHistory, wc)
+			// Count the router call NOW so RouteIters ==
+			// len(CongestionHistory) even when one of the breaks below ends
+			// the loop.
+			res.RouteIters++
+			opt.logf("route iter %d: overflow score %.1f, max util %.2f, overflow cells %d",
+				it, wc, rres.MaxUtil, rres.OverflowCells)
+			if obs != nil {
+				inflMean, inflMax := inflationStats(ps.inf.Ratios())
+				obs.Snapshot(ps.pt("route_iter"), it,
+					telemetry.F("hpwl", d.HPWL()),
+					telemetry.F("overflow_score", wc),
+					telemetry.F("max_util", rres.MaxUtil),
+					telemetry.F("overflow_cells", float64(rres.OverflowCells)),
+					telemetry.F("dens_overflow", ps.obj.lastOverflow),
+					telemetry.F("lambda1", ps.obj.lambda1),
+					telemetry.F("lambda2", ps.obj.lambda2),
+					telemetry.F("gamma", ps.wl.Gamma()),
+					telemetry.F("infl_mean", inflMean),
+					telemetry.F("infl_max", inflMax))
+				// Quantized congestion frame for heatmap replay (dashboard,
+				// trace tooling). Emitted only on fresh iterations — resumed
+				// runs skip committed iterations, keeping the trace
+				// continuation byte-exact.
+				obs.Grid(ps.pt("congestion"), it, ps.grid.NX, ps.grid.NY, rres.Congestion)
+			}
+
+			// Stop when C(x,y) no longer decreases (Fig. 2); remember the
+			// best placement seen so a late degradation cannot leak into
+			// the result.
+			if it == 0 || wc < ps.bestC*0.999 {
+				ps.bestC = wc
+				ps.stall = 0
+				ps.bestX = append(ps.bestX[:0], ps.optm.U()...)
+			} else {
 				ps.stall++
 				if ps.stall >= opt.CongestionPatience {
-					opt.logf("route loop: congestion stalled after %d iters (predicted)", it+1)
+					opt.logf("route loop: congestion stalled after %d iters", it+1)
 					itSp.End()
 					break
 				}
-				pred := ps.orc.Pred()
-				nx := ps.grid.NX
-				sp := ps.startSpan("inflate")
-				cellCongestion(d, func(x, y float64) float64 {
-					cx, cy := ps.grid.CellAt(x, y)
-					if c := pred[cy*nx+cx] - 1; c > 0 {
-						return c
-					}
-					return 0
-				}, ps.congAt)
-				var avgPred float64
-				for _, u := range pred {
-					if c := u - 1; c > 0 {
-						avgPred += c
-					}
-				}
-				avgPred /= float64(len(pred))
-				aerr := ps.inf.Update(ps.congAt, avgPred)
-				if aerr == nil {
-					aerr = ps.dens.SetInflations(ps.inf.Ratios())
-				}
-				sp.End()
-				if aerr != nil {
-					itSp.End()
-					return aerr
-				}
-				opt.logf("route iter %d: skipped (predicted Δutil %.4g < %.4g)",
-					it, gdelta, opt.PredictThreshold)
-				if obs != nil {
-					inflMean, inflMax := inflationStats(ps.inf.Ratios())
-					obs.Snapshot(ps.pt("predict_iter"), it,
-						telemetry.F("gate_delta", gdelta),
-						telemetry.F("pred_avg_cong", avgPred),
-						telemetry.F("dens_overflow", ps.obj.lastOverflow),
-						telemetry.F("lambda1", ps.obj.lambda1),
-						telemetry.F("infl_mean", inflMean),
-						telemetry.F("infl_max", inflMax))
-				}
-				fromStep = 0
-				freshAdapt = true
-				ps.cur = cursor{stage: "routability", iter: it, step: 0}
-			} else {
-				itSp = ps.startSpan("route_iter")
-				ps.feedPositionDelta()
-				sp := ps.startSpan("route")
-				rres, err := ps.rtr.RouteContext(ctx)
-				if err != nil {
-					sp.End()
-					itSp.End()
-					ps.cur = cursor{stage: "routability", iter: it, step: -1}
-					return err
-				}
-				sp.End()
-				routeCalls.Inc()
-				ripupRounds.Add(int64(rres.RoundsRun))
-				routeSegs.Add(int64(rres.Segments))
-				// Fit the pre-oracle against what the router actually saw at
-				// these features, then rebase its drift reference — the next
-				// gate measures prediction drift from THIS call.
-				if opt.Predict {
-					ps.orc.Observe(ps.feat, rres.Util)
-					ps.orc.Rebase(ps.feat)
-					predictFits.Inc()
-				}
-				// Track the same superlinear overflow shape the post-route DRV
-				// oracle scores, so "C(x,y) no longer decreases" and the final
-				// evaluation agree on what an improvement is.
-				wc := overflowScore(rres)
-				res.CongestionHistory = append(res.CongestionHistory, wc)
-				// Count the router call NOW so RouteIters ==
-				// len(CongestionHistory) even when one of the breaks below ends
-				// the loop.
-				res.RouteIters++
-				opt.logf("route iter %d: overflow score %.1f, max util %.2f, overflow cells %d",
-					it, wc, rres.MaxUtil, rres.OverflowCells)
-				if obs != nil {
-					inflMean, inflMax := inflationStats(ps.inf.Ratios())
-					obs.Snapshot(ps.pt("route_iter"), it,
-						telemetry.F("hpwl", d.HPWL()),
-						telemetry.F("overflow_score", wc),
-						telemetry.F("max_util", rres.MaxUtil),
-						telemetry.F("overflow_cells", float64(rres.OverflowCells)),
-						telemetry.F("dens_overflow", ps.obj.lastOverflow),
-						telemetry.F("lambda1", ps.obj.lambda1),
-						telemetry.F("lambda2", ps.obj.lambda2),
-						telemetry.F("gamma", ps.wl.Gamma()),
-						telemetry.F("infl_mean", inflMean),
-						telemetry.F("infl_max", inflMax))
-					// Quantized congestion frame for heatmap replay (dashboard,
-					// trace tooling). Emitted only on fresh iterations — resumed
-					// runs skip committed iterations, keeping the trace
-					// continuation byte-exact.
-					obs.Grid(ps.pt("congestion"), it, ps.grid.NX, ps.grid.NY, rres.Congestion)
-				}
-
-				// Stop when C(x,y) no longer decreases (Fig. 2); remember the
-				// best placement seen so a late degradation cannot leak into
-				// the result.
-				if it == 0 || wc < ps.bestC*0.999 {
-					ps.bestC = wc
-					ps.stall = 0
-					ps.bestX = append(ps.bestX[:0], ps.optm.U()...)
-				} else {
-					ps.stall++
-					if ps.stall >= opt.CongestionPatience {
-						opt.logf("route loop: congestion stalled after %d iters", it+1)
-						itSp.End()
-						break
-					}
-				}
-				if rres.OverflowCells == 0 {
-					opt.logf("route loop: no congestion left after %d iters", it+1)
-					itSp.End()
-					break
-				}
-
-				// Momentum (or baseline) cell inflation.
-				sp = ps.startSpan("inflate")
-				cellCongestion(d, rres.CongestionAt, ps.congAt)
-				aerr := ps.inf.Update(ps.congAt, rres.AvgCongestion())
-				if aerr == nil {
-					aerr = ps.dens.SetInflations(ps.inf.Ratios())
-				}
-				sp.End()
-				if aerr != nil {
-					itSp.End()
-					return aerr
-				}
-
-				// Dynamic PG density (Eq. 13–15).
-				if ps.dynamicPG {
-					sp = ps.startSpan("pg_density")
-					pg, perr := pgrail.Density(ps.selected, ps.bins, rres.Congestion, rres.AvgCongestion())
-					if perr == nil {
-						perr = ps.dens.SetPGDensity(pg)
-					}
-					sp.End()
-					if perr != nil {
-						itSp.End()
-						return perr
-					}
-				}
-
-				// Differentiable congestion term.
-				if ps.useCongTerm {
-					sp = ps.startSpan("congestion_update")
-					ps.cong.Update(rres)
-					sp.End()
-					congUpdates.Inc()
-					poissonSolves.Inc() // the congestion potential is one Poisson solve
-				}
-				fromStep = 0
-				freshAdapt = true
-				ps.cur = cursor{stage: "routability", iter: it, step: 0}
 			}
+			if rres.OverflowCells == 0 {
+				opt.logf("route loop: no congestion left after %d iters", it+1)
+				itSp.End()
+				break
+			}
+
+			// Momentum (or baseline) cell inflation.
+			sp = ps.startSpan("inflate")
+			cellCongestion(d, rres.CongestionAt, ps.congAt)
+			aerr := ps.inf.Update(ps.congAt, rres.AvgCongestion())
+			if aerr == nil {
+				aerr = ps.dens.SetInflations(ps.inf.Ratios())
+			}
+			sp.End()
+			if aerr != nil {
+				itSp.End()
+				return aerr
+			}
+
+			// Dynamic PG density (Eq. 13–15).
+			if ps.dynamicPG {
+				sp = ps.startSpan("pg_density")
+				pg, perr := pgrail.Density(ps.selected, ps.bins, rres.Congestion, rres.AvgCongestion())
+				if perr == nil {
+					perr = ps.dens.SetPGDensity(pg)
+				}
+				sp.End()
+				if perr != nil {
+					itSp.End()
+					return perr
+				}
+			}
+
+			// Differentiable congestion term.
+			if ps.useCongTerm {
+				sp = ps.startSpan("congestion_update")
+				ps.cong.Update(rres)
+				sp.End()
+				congUpdates.Inc()
+				poissonSolves.Inc() // the congestion potential is one Poisson solve
+			}
+			fromStep = 0
+			freshAdapt = true
+			ps.cur = cursor{stage: "routability", iter: it, step: 0}
 		} else {
 			// Resuming into a half-finished iteration (a cancellation
 			// landed between Nesterov steps): router and adaptation are

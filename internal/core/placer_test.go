@@ -219,3 +219,21 @@ func TestModeString(t *testing.T) {
 		t.Errorf("mode strings wrong")
 	}
 }
+
+// TestLegalizeFromInitialSpread legalizes the setup stage's clustered
+// initial spread directly: every cell starts within the central 15% of the
+// die, far from most free rows, so the legalizer must find room beyond its
+// nearby-row window whenever the die has it.
+func TestLegalizeFromInitialSpread(t *testing.T) {
+	for _, name := range append(synth.Table1Designs(), "tiny_hot", "tiny_open") {
+		d := synth.MustGenerate(name)
+		spreadInitial(d)
+		if _, _, err := legalize.New(d).Run(); err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if err := legalize.CheckLegal(d); err != nil {
+			t.Errorf("%s: spread placement not legal after legalization: %v", name, err)
+		}
+	}
+}

@@ -26,7 +26,6 @@ package core
 //	loop <bestc> <stall>
 //	infl <scheme> <avgprev> <t>
 //	cong <present>
-//	predict <thresh> <rows> <fits> <trained>  + vec predict.*   (only when Options.Predict)
 //	mlwarm <set> <boost> <overflow> <l1init>   (only when Options.MLWarmStart)
 //	tel <seq> <nextspanid>  + telspan / telagg / telctr / telgauge / telhist
 //	end
@@ -59,7 +58,6 @@ import (
 	"repro/internal/nesterov"
 	"repro/internal/netlist"
 	"repro/internal/pgrail"
-	"repro/internal/predict"
 	"repro/internal/route"
 	"repro/internal/telemetry"
 )
@@ -148,18 +146,6 @@ type checkpoint struct {
 	// it, so resumed cache-hit/dirty-net counters continue exactly.
 	RtrPinCell []float64
 
-	// Predictor configuration and state (Options.Predict). The threshold is
-	// the post-setDefaults value; the Pred* vectors are the oracle's normal
-	// equations, weights and gate reference, present once the oracle exists
-	// (the routability loop has started). Predictor-off checkpoints serialize
-	// none of this, staying byte-identical to the pre-predictor format.
-	Predict            bool
-	PredictThreshold   float64
-	PredRows, PredFits int
-	PredTrained        bool
-	PredATA, PredATB   []float64
-	PredW, PredRef     []float64
-
 	// Multilevel warm-start hand-off (Options.MLWarmStart): the mlRun's
 	// captured coarse-level state plus the capturing level's pre-boost λ₁
 	// initialization, so a resume mid-phase-1 can still compute the boost
@@ -226,18 +212,6 @@ func (ps *PlacementState) capture() *checkpoint {
 	}
 	if ps.grd != nil {
 		ck.GuardRetries = ps.grd.retries
-	}
-	if opt.Predict {
-		ck.Predict = true
-		ck.PredictThreshold = opt.PredictThreshold
-		if ps.orc != nil {
-			st := ps.orc.State()
-			ck.PredRows = st.Rows
-			ck.PredFits = st.Fits
-			ck.PredTrained = st.Trained
-			ck.PredATA, ck.PredATB = st.ATA, st.ATB
-			ck.PredW, ck.PredRef = st.W, st.RefPred
-		}
 	}
 	if opt.MLWarmStart {
 		ck.MLWarm = true
@@ -399,16 +373,6 @@ func writeCheckpointBody(bw *bytes.Buffer, ck *checkpoint) {
 			writeVec(bw, "cong.cong", ck.CongCong)
 		}
 		writeVec(bw, "rtr.pincell", ck.RtrPinCell)
-	}
-	if ck.Predict {
-		fmt.Fprintf(bw, "predict %g %d %d %s\n",
-			ck.PredictThreshold, ck.PredRows, ck.PredFits, b01(ck.PredTrained))
-		if len(ck.PredATA) > 0 {
-			writeVec(bw, "predict.ata", ck.PredATA)
-			writeVec(bw, "predict.atb", ck.PredATB)
-			writeVec(bw, "predict.w", ck.PredW)
-			writeVec(bw, "predict.ref", ck.PredRef)
-		}
 	}
 	if ck.MLWarm {
 		fmt.Fprintf(bw, "mlwarm %s %g %g %g\n",
@@ -714,12 +678,6 @@ func parseCheckpoint(body []byte) (*checkpoint, error) {
 			ck.Infl.T = p.nextInt()
 		case "cong":
 			ck.HasCong = p.nextBool()
-		case "predict":
-			ck.Predict = true
-			ck.PredictThreshold = p.nextFloat()
-			ck.PredRows = p.nextInt()
-			ck.PredFits = p.nextInt()
-			ck.PredTrained = p.nextBool()
 		case "mlwarm":
 			ck.MLWarm = true
 			ck.MLWarmSet = p.nextBool()
@@ -837,14 +795,6 @@ func (ck *checkpoint) assignVec(name string, v []float64) error {
 		ck.CongCong = v
 	case "rtr.pincell":
 		ck.RtrPinCell = v
-	case "predict.ata":
-		ck.PredATA = v
-	case "predict.atb":
-		ck.PredATB = v
-	case "predict.w":
-		ck.PredW = v
-	case "predict.ref":
-		ck.PredRef = v
 	default:
 		return fmt.Errorf("unknown vector %q", name)
 	}
@@ -997,8 +947,6 @@ func (ck *checkpoint) mergeOptions(opt Options) (Options, error) {
 		Guard:              ck.GuardCfg,
 		Levels:             ck.MLLevels,
 		ClusterMaxSize:     ck.MLMaxW,
-		Predict:            ck.Predict,
-		PredictThreshold:   ck.PredictThreshold,
 		MLWarmStart:        ck.MLWarm,
 
 		Workers:                 opt.Workers,
@@ -1032,12 +980,6 @@ func (ck *checkpoint) mergeOptions(opt Options) (Options, error) {
 	if maxSize < 0 {
 		maxSize = 0
 	}
-	// PredictThreshold follows the sentinel convention (negative selects
-	// "threshold zero", serialized as 0).
-	predThresh := opt.PredictThreshold
-	if predThresh < 0 {
-		predThresh = 0
-	}
 	mismatch := ""
 	switch {
 	case opt.Mode != 0 && opt.Mode != ck.Mode:
@@ -1064,10 +1006,6 @@ func (ck *checkpoint) mergeOptions(opt Options) (Options, error) {
 		mismatch = "Levels"
 	case opt.ClusterMaxSize != 0 && maxSize != ck.MLMaxW:
 		mismatch = "ClusterMaxSize"
-	case opt.Predict && !ck.Predict:
-		mismatch = "Predict"
-	case opt.PredictThreshold != 0 && predThresh != ck.PredictThreshold:
-		mismatch = "PredictThreshold"
 	case opt.MLWarmStart && !ck.MLWarm:
 		mismatch = "MLWarmStart"
 	}
@@ -1249,21 +1187,6 @@ func (ps *PlacementState) restoreLoop(ck *checkpoint) error {
 		if err := ps.rtr.RestoreDecomposition(sig); err != nil {
 			return fmt.Errorf("core: resume: %w", err)
 		}
-	}
-	if opt.Predict && len(ck.PredATA) > 0 {
-		orc := predict.New(ps.grid, len(d.Pins))
-		if err := orc.Restore(predict.State{
-			Rows:    ck.PredRows,
-			Fits:    ck.PredFits,
-			Trained: ck.PredTrained,
-			ATA:     ck.PredATA,
-			ATB:     ck.PredATB,
-			W:       ck.PredW,
-			RefPred: ck.PredRef,
-		}); err != nil {
-			return fmt.Errorf("core: resume: %w", err)
-		}
-		ps.orc = orc
 	}
 	ps.loopReady = true
 	return nil

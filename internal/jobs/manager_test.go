@@ -322,6 +322,9 @@ func TestSubmitValidation(t *testing.T) {
 		"neg workers":   {Design: "tiny_hot", Workers: -1},
 		"huge priority": {Design: "tiny_hot", Priority: 10_000},
 		"huge grid":     {Design: "tiny_hot", GridHint: maxGridHint + 1},
+		"huge wl iters": {Design: "tiny_hot", MaxWLIters: maxWLIters + 1},
+		"huge riters":   {Design: "tiny_hot", MaxRouteIters: maxRouteIters + 1},
+		"huge steps":    {Design: "tiny_hot", StepsPerRouteIter: maxStepsPerRouteIter + 1},
 	} {
 		if _, err := m.Submit(spec); err == nil {
 			t.Errorf("%s: submit accepted %+v", name, spec)

@@ -118,6 +118,18 @@ func (s *Spec) Validate() error {
 	if s.GridHint > maxGridHint {
 		return fmt.Errorf("jobs: grid %d exceeds %d", s.GridHint, maxGridHint)
 	}
+	for _, f := range []struct {
+		name     string
+		v, limit int
+	}{
+		{"max_wl_iters", s.MaxWLIters, maxWLIters},
+		{"max_route_iters", s.MaxRouteIters, maxRouteIters},
+		{"steps_per_route_iter", s.StepsPerRouteIter, maxStepsPerRouteIter},
+	} {
+		if f.v > f.limit {
+			return fmt.Errorf("jobs: %s %d exceeds %d", f.name, f.v, f.limit)
+		}
+	}
 	if s.Levels < 0 || s.Levels > 8 {
 		return fmt.Errorf("jobs: levels must be within [0, 8]")
 	}
@@ -129,6 +141,16 @@ func (s *Spec) Validate() error {
 // 2048 peaks at 1219 MiB), so a larger grid would only be OOM-killed and
 // relaunched until the retry budget is spent.
 const maxGridHint = 1024
+
+// Iteration caps: 10× the core defaults (400 wirelength iterations, 24 route
+// iterations, 12 steps per route iteration). The wirelength stage and each
+// route iteration are single checkpoint boundaries, so a larger value would
+// hold a worker for hours with nothing to preempt or migrate at.
+const (
+	maxWLIters           = 4000
+	maxRouteIters        = 240
+	maxStepsPerRouteIter = 120
+)
 
 func (s *Spec) mode() (core.Mode, error) {
 	switch s.Mode {

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -8,6 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/designio"
+	"repro/internal/geom"
+	"repro/internal/netlist"
 	"repro/internal/testutil"
 )
 
@@ -187,17 +191,36 @@ func TestPoisonedJobIsQuarantined(t *testing.T) {
 	}
 }
 
-// TestNoRoomFailureIsNotRetried: a two-step xplace run of tiny_hot leaves
-// cells where legalization finds no room for one of them. That failure is
-// deterministic, so the supervisor must fail the job at once — no restart,
-// no quarantine — with the legalizer's message.
+// overfullPayload is an inline design whose movable cells cannot all fit
+// its rows: 40 chained cells of 8 sites each on a die of 4 rows × 64 sites.
+func overfullPayload(t *testing.T) string {
+	t.Helper()
+	b := netlist.NewBuilder("overfull", geom.NewRect(0, 0, 64, 32), 8, 1)
+	for i := 0; i < 40; i++ {
+		b.AddCell(fmt.Sprintf("c%d", i), netlist.StdCell, 32, 16, 8, 8)
+	}
+	for i := 1; i < 40; i++ {
+		n := b.AddNet(fmt.Sprintf("n%d", i), 1)
+		b.Connect(i-1, n, 0, 0)
+		b.Connect(i, n, 0, 0)
+	}
+	var buf bytes.Buffer
+	if err := designio.Write(&buf, b.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestNoRoomFailureIsNotRetried: legalization finds no room on an overfull
+// die. That failure is deterministic, so the supervisor must fail the job
+// at once — no restart, no quarantine — with the legalizer's message.
 func TestNoRoomFailureIsNotRetried(t *testing.T) {
 	m, err := Open(workerConfig(t, Config{Dir: t.TempDir()}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	id, err := m.Submit(Spec{Design: "tiny_hot", Mode: "xplace", MaxWLIters: 2, MaxRouteIters: 1})
+	id, err := m.Submit(Spec{Payload: overfullPayload(t), Mode: "xplace", MaxWLIters: 2, MaxRouteIters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package legalize places the movable standard cells of a globally placed
 // design onto legal row/site positions with minimum displacement, using the
 // Abacus algorithm (Spindler, Schlichtmann, Johannes, DATE 2008): cells are
-// processed in x order; each is trialed in nearby rows, where a row insertion
-// collapses into clusters whose optimal positions minimize total squared
-// displacement; the cheapest row wins.
+// processed in x order; each is trialed in nearby rows (in every row when no
+// nearby row has room), where a row insertion collapses into clusters whose
+// optimal positions minimize total squared displacement; the cheapest row
+// wins.
 //
 // It is the stand-in for the "routability-driven legalization" step of the
 // paper's flow (Fig. 2) — the routability part of the flow lives in global
@@ -21,9 +22,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// NoRoomError is legalization's deterministic failure: cell Cell fits in no
-// free row segment of the search window. The same design and global
-// placement fail the same way on every run, so retrying cannot help.
+// NoRoomError is legalization's deterministic failure: once the cells
+// before it are placed, no free row segment anywhere on the die has room
+// for cell Cell. The same design and global placement fail the same way on
+// every run, so retrying cannot help.
 type NoRoomError struct {
 	Cell int
 	Name string
@@ -50,6 +52,10 @@ type cluster struct {
 	cells []int
 }
 
+// maxRowSearch bounds how many rows above/below a cell's ideal row are tried
+// before the search widens to the whole die.
+const maxRowSearch = 6
+
 // row is one placement row with its free segments.
 type row struct {
 	y    float64 // row bottom
@@ -58,8 +64,6 @@ type row struct {
 
 // Legalizer legalizes one design.
 type Legalizer struct {
-	// MaxRowSearch bounds how many rows above/below the ideal row are tried.
-	MaxRowSearch int
 	// Trace, when non-nil, receives spans for the sort and Abacus scan
 	// phases.
 	Trace *telemetry.Tracer
@@ -71,7 +75,7 @@ type Legalizer struct {
 // New prepares the row structure of the design: rows spanning the die,
 // split by macro footprints.
 func New(d *netlist.Design) *Legalizer {
-	l := &Legalizer{MaxRowSearch: 6, d: d}
+	l := &Legalizer{d: d}
 	macros := d.MacroRects()
 	numRows := int(d.Die.H() / d.RowHeight)
 	for r := 0; r < numRows; r++ {
@@ -147,7 +151,10 @@ func (l *Legalizer) RunContext(ctx context.Context) (totalDisp, maxDisp float64,
 		bestCost := math.Inf(1)
 		bestRow, bestSeg := -1, -1
 		ideal := int((c.Y - d.RowHeight/2 - d.Die.Lo.Y) / d.RowHeight)
-		for dr := 0; dr <= l.MaxRowSearch; dr++ {
+		// A cell the ±maxRowSearch window cannot place widens the search
+		// to every row, nearest first; a cell the window places stops
+		// exactly where the window ends.
+		for dr := 0; dr <= maxRowSearch || (bestRow < 0 && (ideal-dr >= 0 || ideal+dr < len(l.rows))); dr++ {
 			for _, r := range []int{ideal - dr, ideal + dr} {
 				if dr == 0 && r != ideal {
 					continue

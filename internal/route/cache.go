@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/netlist"
-	"repro/internal/steiner"
 )
 
 // Incremental net decomposition.
@@ -77,10 +76,6 @@ type decompCache struct {
 	// Prim MST scratch, sized to the largest net degree seen.
 	inTree       []bool
 	dist, parent []int
-
-	spts []steiner.Point // steiner decomposition scratch
-
-	netOrder []segment // maze fallback: segments concatenated in net order
 }
 
 func (dc *decompCache) ensureInit(numPins, numNets, numGCells int) {
@@ -205,7 +200,7 @@ func (r *Router) refreshSignature(net *netlist.Net) bool {
 // restore rebuild the cache from the serialized signature alone. The
 // emission order is byte-identical to the historical full decomposition:
 // first-seen point dedup over the net's pin order, then the identical Prim
-// MST (or 1-Steiner) edge emission.
+// MST edge emission.
 func (r *Router) decomposeNet(e int, out []segment) []segment {
 	dc := &r.dc
 	net := &r.d.Nets[e]
@@ -228,21 +223,6 @@ func (r *Router) decomposeNet(e int, out []segment) []segment {
 	}
 	if k == 2 {
 		return append(out, newSegment(int(dc.ptsX[0]), int(dc.ptsY[0]), int(dc.ptsX[1]), int(dc.ptsY[1])))
-	}
-	if r.UseSteiner {
-		if cap(dc.spts) < k {
-			dc.spts = make([]steiner.Point, k)
-		}
-		spts := dc.spts[:k]
-		for i := 0; i < k; i++ {
-			spts[i] = steiner.Point{X: int(dc.ptsX[i]), Y: int(dc.ptsY[i])}
-		}
-		nodes, edges, _ := steiner.Tree(spts)
-		for _, ed := range edges {
-			a, b := nodes[ed.A], nodes[ed.B]
-			out = append(out, newSegment(a.X, a.Y, b.X, b.Y))
-		}
-		return out
 	}
 	// Prim MST on Manhattan distance, identical tie-breaking to the
 	// historical slice-allocating version (strict < keeps the earliest
@@ -289,19 +269,6 @@ func abs32(a int32) int32 {
 		return -a
 	}
 	return a
-}
-
-// netOrderSegments returns the cached segments concatenated in net order —
-// the order the historical one-shot decomposition produced — for the maze
-// fallback's rip-up scan. The cache must be current (RouteWithMaze calls it
-// right after Route). The returned slice is router-owned scratch.
-func (r *Router) netOrderSegments() []segment {
-	dc := &r.dc
-	dc.netOrder = dc.netOrder[:0]
-	for e := range dc.netSegs {
-		dc.netOrder = append(dc.netOrder, dc.netSegs[e]...)
-	}
-	return dc.netOrder
 }
 
 // Invalidate discards the decomposition cache: the next route call performs

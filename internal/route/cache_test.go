@@ -63,40 +63,32 @@ func requireSameResult(t *testing.T, got, want *Result) {
 // a Result byte-identical to a fresh router doing a full decomposition at the
 // same positions.
 func TestIncrementalMatchesFullDecomposition(t *testing.T) {
-	for _, steinerMode := range []bool{false, true} {
-		name := "mst"
-		if steinerMode {
-			name = "steiner"
-		}
-		t.Run(name, func(t *testing.T) {
-			d := synth.MustGenerate("tiny_hot")
-			g := NewGrid(d, 32)
-			inc := NewRouter(d, g)
-			inc.UseSteiner = steinerMode
-			inc.Route()
-			rng := rand.New(rand.NewSource(3))
-			for round := 0; round < 3; round++ {
-				perturbCells(d, rng)
-				resInc := inc.Route()
+	t.Run("mst", func(t *testing.T) {
+		d := synth.MustGenerate("tiny_hot")
+		g := NewGrid(d, 32)
+		inc := NewRouter(d, g)
+		inc.Route()
+		rng := rand.New(rand.NewSource(3))
+		for round := 0; round < 3; round++ {
+			perturbCells(d, rng)
+			resInc := inc.Route()
 
-				full := NewRouter(d, g)
-				full.UseSteiner = steinerMode
-				resFull := full.Route()
+			full := NewRouter(d, g)
+			resFull := full.Route()
 
-				if len(inc.dc.sorted) != len(full.dc.sorted) {
-					t.Fatalf("round %d: incremental holds %d segments, full %d",
-						round, len(inc.dc.sorted), len(full.dc.sorted))
-				}
-				for i := range full.dc.sorted {
-					if inc.dc.sorted[i] != full.dc.sorted[i] {
-						t.Fatalf("round %d: sorted[%d] differs: %+v vs %+v",
-							round, i, inc.dc.sorted[i], full.dc.sorted[i])
-					}
-				}
-				requireSameResult(t, resInc, resFull)
+			if len(inc.dc.sorted) != len(full.dc.sorted) {
+				t.Fatalf("round %d: incremental holds %d segments, full %d",
+					round, len(inc.dc.sorted), len(full.dc.sorted))
 			}
-		})
-	}
+			for i := range full.dc.sorted {
+				if inc.dc.sorted[i] != full.dc.sorted[i] {
+					t.Fatalf("round %d: sorted[%d] differs: %+v vs %+v",
+						round, i, inc.dc.sorted[i], full.dc.sorted[i])
+				}
+			}
+			requireSameResult(t, resInc, resFull)
+		}
+	})
 }
 
 // TestIncrementalRouteIdenticalAcrossWorkers replays the same perturbation

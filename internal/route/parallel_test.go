@@ -43,31 +43,6 @@ func TestRouteBitwiseIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRouteWithMazeIdenticalAcrossWorkers: the maze fallback runs after the
-// batched pattern rounds and is serial, so it must not break cross-worker
-// identity.
-func TestRouteWithMazeIdenticalAcrossWorkers(t *testing.T) {
-	d := synth.MustGenerate("tiny_hot")
-	g := NewGrid(d, 32)
-	run := func(workers int) *Result {
-		r := NewRouter(d, g)
-		r.Workers = workers
-		return r.RouteWithMaze(0)
-	}
-	ref := run(1)
-	got := run(parallel.NumShards)
-	if math.Float64bits(got.WirelengthDBU) != math.Float64bits(ref.WirelengthDBU) ||
-		got.Vias != ref.Vias {
-		t.Errorf("maze totals differ: %v/%d vs serial %v/%d",
-			got.WirelengthDBU, got.Vias, ref.WirelengthDBU, ref.Vias)
-	}
-	for i := range ref.Congestion {
-		if math.Float64bits(got.Congestion[i]) != math.Float64bits(ref.Congestion[i]) {
-			t.Fatalf("congestion[%d] differs bitwise from serial", i)
-		}
-	}
-}
-
 // TestRouteStatsAccumulate: the choice phases record their cost for the
 // telemetry speedup gauges.
 func TestRouteStatsAccumulate(t *testing.T) {

@@ -15,6 +15,13 @@ import (
 // decision, are identical for any Workers setting.
 const chooseBatch = 256
 
+// Fixed pattern-routing knobs.
+const (
+	zSamples  = 3   // intermediate positions tried per Z family
+	viaDemand = 0.5 // demand charged to a G-cell per bend
+	pinVias   = 2   // via count charged per pin for layer access
+)
+
 // Router performs congestion-aware pattern global routing of a design on a
 // Grid. It decomposes each net into two-pin segments with a Prim MST,
 // enumerates L- and Z-shape candidates per segment, picks the cheapest under
@@ -42,20 +49,9 @@ type Router struct {
 	d *netlist.Design
 	g *Grid
 
-	// ZSamples is the number of intermediate positions tried per Z family.
-	ZSamples int
 	// Rounds is the number of full routing rounds (1 initial + Rounds−1
 	// rip-up-and-reroute rounds with history).
 	Rounds int
-	// UseSteiner decomposes multi-pin nets with the iterated 1-Steiner RSMT
-	// heuristic instead of a plain MST, trading decomposition time for
-	// shorter trees (an ablation knob; the pattern router of [18] is
-	// MST-based).
-	UseSteiner bool
-	// ViaDemand is the demand charged to a G-cell per bend.
-	ViaDemand float64
-	// PinVias is the via count charged per pin for layer access.
-	PinVias int
 	// Trace, when non-nil, receives spans for the net decomposition and
 	// each rip-up-and-reroute round.
 	Trace *telemetry.Tracer
@@ -96,18 +92,15 @@ type Router struct {
 func NewRouter(d *netlist.Design, g *Grid) *Router {
 	n := g.NX * g.NY
 	r := &Router{
-		d:         d,
-		g:         g,
-		ZSamples:  3,
-		Rounds:    2,
-		ViaDemand: 0.5,
-		PinVias:   2,
-		hist:      make([]float64, n),
-		dmdH:      make([]float64, n),
-		dmdV:      make([]float64, n),
-		dmdVia:    make([]float64, n),
-		capTot:    make([]float64, n),
-		choices:   make([]int32, chooseBatch),
+		d:       d,
+		g:       g,
+		Rounds:  2,
+		hist:    make([]float64, n),
+		dmdH:    make([]float64, n),
+		dmdV:    make([]float64, n),
+		dmdVia:  make([]float64, n),
+		capTot:  make([]float64, n),
+		choices: make([]int32, chooseBatch),
 	}
 	for i := 0; i < n; i++ {
 		r.capTot[i] = g.CapTotal(i)
@@ -197,10 +190,10 @@ type segment struct {
 // demand and congestion maps.
 //
 // Ownership: the returned Result is router-owned and reused — it stays
-// valid until the next Route/RouteContext/RouteWithMaze call on the same
-// Router, which overwrites it in place. Callers that need a longer-lived
-// snapshot must copy the fields they keep (the placement pipeline consumes
-// each result within its route iteration).
+// valid until the next Route/RouteContext call on the same Router, which
+// overwrites it in place. Callers that need a longer-lived snapshot must
+// copy the fields they keep (the placement pipeline consumes each result
+// within its route iteration).
 func (r *Router) Route() *Result {
 	res, _ := r.RouteContext(context.Background())
 	return res
@@ -286,7 +279,7 @@ func (r *Router) RouteContext(ctx context.Context) (*Result, error) {
 	}
 
 	// Pin-access vias.
-	vias += r.PinVias * len(r.d.Pins)
+	vias += pinVias * len(r.d.Pins)
 
 	res := r.assembleResult(wl, vias)
 	res.Segments = len(segs)
@@ -324,9 +317,8 @@ func (r *Router) cellCost(i int) float64 {
 }
 
 // runCost sums cellCost over an inclusive horizontal or vertical run — the
-// naive O(length) reference for the prefix-sum cost field. The maze fallback
-// still prices with it (its demand state is live, not batch-frozen), and the
-// cross-check test holds the field to it.
+// naive O(length) reference the cross-check test holds the prefix-sum cost
+// field to.
 func (r *Router) runCost(x1, y1, x2, y2 int) float64 {
 	var c float64
 	if y1 == y2 {
@@ -385,7 +377,7 @@ func (r *Router) addBend(c *candidate, x, y int) {
 }
 
 // enumerate generates the candidate patterns for a segment: straight runs
-// for aligned endpoints, both L-shapes, and ZSamples Z-shapes per family.
+// for aligned endpoints, both L-shapes, and zSamples Z-shapes per family.
 func (r *Router) enumerate(s segment, out []candidate) []candidate {
 	out = out[:0]
 	if s.y1 == s.y2 || s.x1 == s.x2 {
@@ -412,8 +404,8 @@ func (r *Router) enumerate(s segment, out []candidate) []candidate {
 	// and vertical-horizontal-vertical with intermediate row ym.
 	dx := s.x2 - s.x1
 	dy := s.y2 - s.y1
-	for k := 1; k <= r.ZSamples; k++ {
-		frac := float64(k) / float64(r.ZSamples+1)
+	for k := 1; k <= zSamples; k++ {
+		frac := float64(k) / float64(zSamples+1)
 		xm := s.x1 + int(math.Round(frac*float64(dx)))
 		if xm != s.x1 && xm != s.x2 {
 			var c candidate
@@ -444,7 +436,7 @@ func (r *Router) enumerate(s segment, out []candidate) []candidate {
 // commitSegment. The caller must have built the cost field against the
 // current demand state (RouteContext does, at the top of every batch).
 func (r *Router) chooseSegment(s segment) int {
-	var buf [2 + 2*8]candidate
+	var buf [2 + 2*zSamples]candidate
 	cands := r.enumerate(s, buf[:0])
 	bestIdx, bestCost := 0, math.Inf(1)
 	for i := range cands {
@@ -459,34 +451,7 @@ func (r *Router) chooseSegment(s segment) int {
 		// the identical frozen values.
 		for k := 0; k < c.nBend; k++ {
 			cost -= r.cf.cost[c.bends[k]]
-			cost += 2 * r.ViaDemand
-		}
-		if cost < bestCost {
-			bestCost = cost
-			bestIdx = i
-		}
-	}
-	return bestIdx
-}
-
-// chooseSegmentRef is chooseSegment priced with the naive runCost reference
-// against the LIVE demand state. The maze fallback uses it (its demand has
-// drifted from whatever cost field was last built); the batched hot path
-// never does.
-func (r *Router) chooseSegmentRef(s segment) int {
-	var buf [2 + 2*8]candidate
-	cands := r.enumerate(s, buf[:0])
-	bestIdx, bestCost := 0, math.Inf(1)
-	for i := range cands {
-		c := &cands[i]
-		cost := 0.0
-		for k := 0; k < c.nRuns; k++ {
-			run := c.runs[k]
-			cost += r.runCost(run[0], run[1], run[2], run[3])
-		}
-		for k := 0; k < c.nBend; k++ {
-			cost -= r.cellCost(c.bends[k])
-			cost += 2 * r.ViaDemand
+			cost += 2 * viaDemand
 		}
 		if cost < bestCost {
 			bestCost = cost
@@ -501,7 +466,7 @@ func (r *Router) chooseSegmentRef(s segment) int {
 // demand increments are exact in float64, so the committed maps carry no
 // rounding dependence on the commit grouping.
 func (r *Router) commitSegment(s segment, choice int) (float64, int) {
-	var buf [2 + 2*8]candidate
+	var buf [2 + 2*zSamples]candidate
 	cands := r.enumerate(s, buf[:0])
 	best := &cands[choice]
 	var wl float64
@@ -511,7 +476,65 @@ func (r *Router) commitSegment(s segment, choice int) (float64, int) {
 		wl += float64(abs(run[2]-run[0]))*r.g.CellW + float64(abs(run[3]-run[1]))*r.g.CellH
 	}
 	for k := 0; k < best.nBend; k++ {
-		r.dmdVia[best.bends[k]] += r.ViaDemand
+		r.dmdVia[best.bends[k]] += viaDemand
 	}
 	return wl, best.nBend
+}
+
+// assembleResult converts the router's current 2-D demand into a full Result.
+// The Result and its slices are router-owned and refilled in place on every
+// call — see Route's ownership contract.
+func (r *Router) assembleResult(wl float64, vias int) *Result {
+	n := r.g.NX * r.g.NY
+	res := r.res
+	if res == nil {
+		res = &Result{Grid: r.g}
+		res.Dmd = make([][]float64, r.g.Layers)
+		for l := range res.Dmd {
+			res.Dmd[l] = make([]float64, n)
+		}
+		r.res = res
+	}
+	res.WirelengthDBU = wl
+	res.Vias = vias
+	for l := range res.Dmd {
+		dl := res.Dmd[l]
+		for i := range dl {
+			dl[i] = 0
+		}
+	}
+	hl, vl := r.hl, r.vl
+	for i := 0; i < n; i++ {
+		var hCap, vCap float64
+		for _, l := range hl {
+			hCap += r.g.Cap[l][i]
+		}
+		for _, l := range vl {
+			vCap += r.g.Cap[l][i]
+		}
+		for _, l := range hl {
+			share := 1.0 / float64(len(hl))
+			if hCap > 0 {
+				share = r.g.Cap[l][i] / hCap
+			}
+			res.Dmd[l][i] += r.dmdH[i] * share
+		}
+		for _, l := range vl {
+			share := 1.0 / float64(len(vl))
+			if vCap > 0 {
+				share = r.g.Cap[l][i] / vCap
+			}
+			res.Dmd[l][i] += r.dmdV[i] * share
+		}
+		tot := r.capTot[i]
+		for l := 0; l < r.g.Layers; l++ {
+			share := 1.0 / float64(r.g.Layers)
+			if tot > 0 {
+				share = r.g.Cap[l][i] / tot
+			}
+			res.Dmd[l][i] += r.dmdVia[i] * share
+		}
+	}
+	res.finalize()
+	return res
 }

@@ -331,8 +331,6 @@ func (t *Trace) WriteReport(w io.Writer) {
 			name, len(events), last.NX, last.NY, fmtVal(last.Max))
 	}
 
-	t.writePredictor(w)
-
 	if len(t.Metrics) > 0 {
 		fmt.Fprintf(w, "\nMetrics\n")
 		for _, m := range t.Metrics {
@@ -356,33 +354,6 @@ func (t *Trace) WriteReport(w io.Writer) {
 		if hasVolatile(t.Metrics) {
 			fmt.Fprintf(w, "  (* volatile: wall-clock/environment metric, excluded from canonical traces)\n")
 		}
-	}
-}
-
-// writePredictor renders the congestion-predictor section: the gate counters
-// and the realized skip rate (skipped calls over gated route iterations).
-// The section appears only when a predictor run left its metrics in the
-// trace, so reports over predictor-off traces are byte-identical to reports
-// from before the predictor existed.
-func (t *Trace) writePredictor(w io.Writer) {
-	fm := t.FinalMetrics()
-	skipped, ok := fm["route.skipped_calls"]
-	if !ok {
-		return
-	}
-	calls := fm["route.calls"].Value
-	gates := fm["predict.gates"].Value
-	fits := fm["predict.fits"].Value
-	fmt.Fprintf(w, "\nCongestion predictor\n")
-	fmt.Fprintf(w, "  %-24s %s\n", "route calls (real)", fmtVal(calls))
-	fmt.Fprintf(w, "  %-24s %s\n", "route calls (skipped)", fmtVal(skipped.Value))
-	if total := calls + skipped.Value; total > 0 {
-		fmt.Fprintf(w, "  %-24s %.1f%%\n", "skip rate", 100*skipped.Value/total)
-	}
-	fmt.Fprintf(w, "  %-24s %s\n", "gate evaluations", fmtVal(gates))
-	fmt.Fprintf(w, "  %-24s %s\n", "oracle refits", fmtVal(fits))
-	if gd, ok := fm["predict.gate_delta"]; ok {
-		fmt.Fprintf(w, "  %-24s %s\n", "last gate delta", fmtVal(gd.Value))
 	}
 }
 

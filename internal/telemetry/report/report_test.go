@@ -357,53 +357,3 @@ func TestDiffDetectsDeterministicDrift(t *testing.T) {
 		t.Errorf("volatile metric reported as deterministic drift:\n%s", joined)
 	}
 }
-
-// TestReportPredictorSection: a trace carrying the congestion-predictor
-// counters gets a dedicated section with the realized skip rate; a trace
-// without them must not mention the predictor at all.
-func TestReportPredictorSection(t *testing.T) {
-	var buf bytes.Buffer
-	o := telemetry.NewObserver(&buf)
-	root := o.StartSpan("place")
-	root.End()
-	o.Counter("route.calls").Add(6)
-	o.Counter("route.skipped_calls").Add(2)
-	o.Counter("predict.gates").Add(7)
-	o.Counter("predict.fits").Add(6)
-	o.Gauge("predict.gate_delta").Set(0.0125)
-	if err := o.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep strings.Builder
-	tr.WriteReport(&rep)
-	for _, want := range []string{
-		"Congestion predictor",
-		"route calls (real)",
-		"route calls (skipped)",
-		"skip rate",
-		"25.0%", // 2 skipped of 8 gated iterations
-		"gate evaluations",
-		"oracle refits",
-		"last gate delta",
-	} {
-		if !strings.Contains(rep.String(), want) {
-			t.Errorf("predictor section misses %q:\n%s", want, rep.String())
-		}
-	}
-
-	// Predictor-off traces stay untouched.
-	off := emitTrace(t, 2, 20)
-	trOff, err := ReadTrace(bytes.NewReader(off))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var repOff strings.Builder
-	trOff.WriteReport(&repOff)
-	if strings.Contains(repOff.String(), "predictor") || strings.Contains(repOff.String(), "skip rate") {
-		t.Errorf("predictor-off report mentions the predictor:\n%s", repOff.String())
-	}
-}
