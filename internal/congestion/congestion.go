@@ -40,8 +40,9 @@ type Model struct {
 	// virtual cell is placed at the segment midpoint instead of the
 	// maximum-congestion candidate.
 	VirtualAtMidpoint bool
-	// Workers caps the goroutines of the embedded Poisson solve; 0 selects
-	// runtime.GOMAXPROCS(0). Any setting produces bitwise-identical fields.
+	// Workers caps the goroutines of the embedded Poisson solve and of the
+	// gradient assembly; 0 selects runtime.GOMAXPROCS(0). Any setting
+	// produces bitwise-identical fields and gradients.
 	Workers int
 
 	d *netlist.Design
@@ -59,6 +60,26 @@ type Model struct {
 	// virtual cell bookkeeping from the last Gradients call, reused by
 	// Penalty so V' matches the gradients.
 	virtX, virtY []float64
+
+	// Gradient assembly state (see Gradients). Two-pin net e's Algorithm 1
+	// terms for pins 0 and 1 live in slots 2e and 2e+1, and its virtual
+	// cell in virt[e]; only the shard that owns net e writes them.
+	term []geom.Point
+	has  []bool
+	virt []virtualCell
+	// Per-cell gather, built once by New: cell c applies the entries
+	// order[orderStart[c]:orderStart[c+1]], each an Algorithm 1 slot or
+	// alg2, in the serial assembly's order.
+	orderStart []int32
+	order      []int32
+}
+
+// alg2 marks a gather entry that applies the cell's Algorithm 2 force.
+const alg2 = -1
+
+type virtualCell struct {
+	pos geom.Point
+	ok  bool
 }
 
 // Stats summarizes one gradient assembly pass.
@@ -87,6 +108,10 @@ func New(d *netlist.Design, g *route.Grid) *Model {
 		avgPins:       d.AvgPinsPerCell(),
 	}
 	m.field = m.solver.NewGrid()
+	m.term = make([]geom.Point, 2*len(d.Nets))
+	m.has = make([]bool, 2*len(d.Nets))
+	m.virt = make([]virtualCell, len(d.Nets))
+	m.buildGather()
 	var area float64
 	var n int
 	for i := range d.Cells {
@@ -101,6 +126,47 @@ func New(d *netlist.Design, g *route.Grid) *Model {
 		m.stdArea = d.RowHeight * d.SiteWidth
 	}
 	return m
+}
+
+// buildGather lists every cell's gradient terms in the order the serial
+// assembly subtracts them: nets ascending, and within a net the Algorithm 1
+// terms of pins 0 and 1 (two-pin nets only), then one Algorithm 2 entry per
+// pin in pin order. Pass 0 counts each cell's entries, pass 1 fills them.
+func (m *Model) buildGather() {
+	d := m.d
+	n := len(d.Cells)
+	m.orderStart = make([]int32, n+1)
+	var pos []int32
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			for c := 0; c < n; c++ {
+				m.orderStart[c+1] += m.orderStart[c]
+			}
+			m.order = make([]int32, m.orderStart[n])
+			pos = append([]int32(nil), m.orderStart[:n]...)
+		}
+		add := func(c int, entry int32) {
+			if pass == 0 {
+				m.orderStart[c+1]++
+				return
+			}
+			m.order[pos[c]] = entry
+			pos[c]++
+		}
+		for e := range d.Nets {
+			net := &d.Nets[e]
+			if net.Degree() < 2 {
+				continue
+			}
+			if net.Degree() == 2 {
+				add(d.Pins[net.Pins[0]].Cell, int32(2*e))
+				add(d.Pins[net.Pins[1]].Cell, int32(2*e+1))
+			}
+			for _, pi := range net.Pins {
+				add(d.Pins[pi].Cell, alg2)
+			}
+		}
+	}
 }
 
 // Update ingests a fresh routing result: ρ = Dmd/Cap per G-cell (Sec. II-B)
@@ -229,6 +295,15 @@ func (m *Model) VirtualCell(p1, p2 geom.Point) (pos geom.Point, ok bool) {
 // into grad (layout [gx0,gy0,...], length 2·len(Cells)); callers zero the
 // buffer first ("initially, we set the congestion gradient of all cells to
 // 0"). Returns assembly statistics. Update must have been called.
+//
+// The assembly is bitwise the serial loop over nets that subtracts each
+// term from its cell as it goes, for any worker count. A net-parallel pass
+// writes every two-pin net's Algorithm 1 terms and virtual cell into the
+// net's own slots. A cell-parallel gather then subtracts each cell's terms
+// in the serial order; an Algorithm 2 term is a function of the cell
+// alone, so the gather computes it once per cell and subtracts it at each
+// of the cell's Algorithm 2 entries. Counts reduce per shard, and ‖∇C‖₁
+// and the virtual-cell list are built serially in cell and net order.
 func (m *Model) Gradients(grad []float64) Stats {
 	if m.res == nil {
 		panic("congestion: Gradients before Update")
@@ -237,65 +312,95 @@ func (m *Model) Gradients(grad []float64) Stats {
 		panic("congestion: gradient length mismatch")
 	}
 	var st Stats
-	m.virtX = m.virtX[:0]
-	m.virtY = m.virtY[:0]
-
-	for e := range m.d.Nets {
-		net := &m.d.Nets[e]
-		deg := net.Degree()
-		if deg < 2 {
-			continue
-		}
-		// Algorithm 1: two-pin net moving.
-		if deg == 2 {
-			m.twoPinGradient(net, grad, &st)
-		}
-		// Algorithm 2 lines 7–15: multi-pin cell forces, per net.
-		for _, pi := range net.Pins {
-			ci := m.d.Pins[pi].Cell
-			c := &m.d.Cells[ci]
-			if !c.Movable() || float64(c.NumPins) <= m.avgPins {
-				continue
+	parallel.For(m.Workers, len(m.d.Nets), func(_, lo, hi int) {
+		for e := lo; e < hi; e++ {
+			if net := &m.d.Nets[e]; net.Degree() == 2 {
+				m.twoPinGradient(e, net)
 			}
-			if m.congestionAtPoint(c.X, c.Y) <= m.UtilThreshold {
-				continue
-			}
-			ex, ey := m.FieldAt(c.X, c.Y)
-			a := c.Area()
-			// Force A·E pushes away from congestion; the gradient of the
-			// penalty is its negation.
-			grad[2*ci] -= a * ex
-			grad[2*ci+1] -= a * ey
-			st.MultiPinHits++
 		}
+	})
+	var hits, congested [parallel.NumShards]int
+	parallel.For(m.Workers, len(m.d.Cells), func(shard, lo, hi int) {
+		hits[shard], congested[shard] = m.gather(grad, lo, hi)
+	})
+	for s := range hits {
+		st.MultiPinHits += hits[s]
+		st.CongestedCell += congested[s]
 	}
 
-	// Stats for Eq. 10.
+	m.virtX = m.virtX[:0]
+	m.virtY = m.virtY[:0]
+	for _, v := range m.virt {
+		if v.ok {
+			m.virtX = append(m.virtX, v.pos.X)
+			m.virtY = append(m.virtY, v.pos.Y)
+		}
+	}
+	st.VirtualCells = len(m.virtX)
 	for ci := range m.d.Cells {
-		c := &m.d.Cells[ci]
-		if !c.Movable() {
-			continue
+		if m.d.Cells[ci].Movable() {
+			st.GradL1 += math.Abs(grad[2*ci]) + math.Abs(grad[2*ci+1])
 		}
-		if m.congestionAtPoint(c.X, c.Y) > 0 {
-			st.CongestedCell++
-		}
-		st.GradL1 += math.Abs(grad[2*ci]) + math.Abs(grad[2*ci+1])
 	}
 	return st
 }
 
-// twoPinGradient is Algorithm 1: create the virtual cell, project its field
-// force on the segment normal, and lever it onto the two cells.
-func (m *Model) twoPinGradient(net *netlist.Net, grad []float64, st *Stats) {
+// gather subtracts the terms of cells [lo, hi) from grad and returns the
+// Algorithm 2 force applications and the congested movable cells (N_C of
+// Eq. 10) among them.
+func (m *Model) gather(grad []float64, lo, hi int) (hits, congested int) {
+	for ci := lo; ci < hi; ci++ {
+		c := &m.d.Cells[ci]
+		if !c.Movable() {
+			continue
+		}
+		cong := m.congestionAtPoint(c.X, c.Y)
+		if cong > 0 {
+			congested++
+		}
+		// Algorithm 2 lines 7–15: cells with more pins than average in a
+		// G-cell above the threshold receive the raw field force A·E,
+		// which pushes away from congestion; the gradient is its negation.
+		var f geom.Point
+		multiPin := float64(c.NumPins) > m.avgPins && cong > m.UtilThreshold
+		if multiPin {
+			ex, ey := m.FieldAt(c.X, c.Y)
+			a := c.Area()
+			// Rounded explicitly: no target may fuse the product into the
+			// subtractions below.
+			f = geom.Point{X: float64(a * ex), Y: float64(a * ey)}
+		}
+		gx, gy := grad[2*ci], grad[2*ci+1]
+		for _, k := range m.order[m.orderStart[ci]:m.orderStart[ci+1]] {
+			switch {
+			case k == alg2:
+				if multiPin {
+					gx -= f.X
+					gy -= f.Y
+					hits++
+				}
+			case m.has[k]:
+				gx -= m.term[k].X
+				gy -= m.term[k].Y
+			}
+		}
+		grad[2*ci], grad[2*ci+1] = gx, gy
+	}
+	return hits, congested
+}
+
+// twoPinGradient is Algorithm 1 for net e: create the virtual cell,
+// project its field force on the segment normal, and lever it onto the two
+// cells. It writes the net's virtual cell and its two term slots.
+func (m *Model) twoPinGradient(e int, net *netlist.Net) {
+	m.has[2*e], m.has[2*e+1] = false, false
 	p1 := m.d.PinPos(net.Pins[0])
 	p2 := m.d.PinPos(net.Pins[1])
 	v, ok := m.VirtualCell(p1, p2)
+	m.virt[e] = virtualCell{pos: v, ok: ok}
 	if !ok {
 		return
 	}
-	st.VirtualCells++
-	m.virtX = append(m.virtX, v.X)
-	m.virtY = append(m.virtY, v.Y)
 
 	ex, ey := m.FieldAt(v.X, v.Y)
 	fv := geom.Point{X: m.stdArea * ex, Y: m.stdArea * ey} // ∇C_cv as a force
@@ -312,13 +417,8 @@ func (m *Model) twoPinGradient(net *netlist.Net, grad []float64, st *Stats) {
 	// Projection ∇C⊥ (Fig. 3b).
 	fperp := n.Scale(fv.Dot(n))
 
-	for idx, pi := range []int{net.Pins[0], net.Pins[1]} {
-		p := p1
-		if idx == 1 {
-			p = p2
-		}
-		ci := m.d.Pins[pi].Cell
-		if !m.d.Cells[ci].Movable() {
+	for k, p := range [2]geom.Point{p1, p2} {
+		if !m.d.Cells[m.d.Pins[net.Pins[k]].Cell].Movable() {
 			continue
 		}
 		div := p.Dist(v)
@@ -326,8 +426,8 @@ func (m *Model) twoPinGradient(net *netlist.Net, grad []float64, st *Stats) {
 		if div > 0 {
 			factor = math.Min(L/(2*div), m.MaxLeverage)
 		}
-		grad[2*ci] -= factor * fperp.X
-		grad[2*ci+1] -= factor * fperp.Y
+		m.term[2*e+k] = geom.Point{X: factor * fperp.X, Y: factor * fperp.Y}
+		m.has[2*e+k] = true
 	}
 }
 

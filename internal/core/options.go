@@ -189,8 +189,9 @@ type Options struct {
 	DisableCancelCheckpoint bool
 
 	// Workers caps the goroutines used by the parallel kernels (wirelength
-	// gradient, density rasterization, Poisson transforms and the router's
-	// candidate choice). 0 selects runtime.GOMAXPROCS(0); 1 runs fully
+	// gradient, density rasterization, Poisson transforms, congestion
+	// gradient and the router's cost fields). 0 selects
+	// runtime.GOMAXPROCS(0); 1 runs fully
 	// serial. Every setting produces byte-identical placements: all parallel
 	// reductions merge a fixed number of shards in fixed index order, so
 	// the float summation tree never depends on the worker count.

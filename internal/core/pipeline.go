@@ -141,16 +141,15 @@ type PlacementState struct {
 
 	// Core runtime, built by buildRuntime (deterministically — independent
 	// of current movable positions, which restore overwrites afterwards).
-	dens       *density.Model
-	wl         *wirelength.Model
-	grid       *route.Grid
-	cong       *congestion.Model
-	obj        *objective
-	optm       *nesterov.Optimizer
-	rtr        *route.Router // constructed once, Reset per route iteration
-	gamma0     float64
-	routeStats parallel.Timing
-	costStats  parallel.Timing // router cost-field build timing
+	dens      *density.Model
+	wl        *wirelength.Model
+	grid      *route.Grid
+	cong      *congestion.Model
+	obj       *objective
+	optm      *nesterov.Optimizer
+	rtr       *route.Router // constructed once, Reset per route iteration
+	gamma0    float64
+	costStats parallel.Timing // router cost-field build timing
 
 	// Position-delta feed for the router's incremental decomposition: the
 	// cell positions as of the previous route call and the per-cell moved
@@ -463,7 +462,6 @@ func (ps *PlacementState) finishTelemetry() {
 		}
 		obs.VolatileGauge("parallel.poisson.speedup").Set(pstats.Speedup())
 	}
-	obs.VolatileGauge("parallel.route.speedup").Set(ps.routeStats.Speedup())
 	obs.VolatileGauge("parallel.route.costfield").Set(ps.costStats.Speedup())
 	res.StageTimings = obs.Tracer.StageTimings()
 }
@@ -946,7 +944,6 @@ func (ps *PlacementState) routabilityLoop(ctx context.Context, p2 *telemetry.Spa
 	}
 	d.ClampToDie()
 	ps.dens.ClampFillers()
-	ps.routeStats.Add(ps.rtr.Stats())
 	ps.costStats.Add(ps.rtr.CostFieldStats())
 	return nil
 }

@@ -34,9 +34,10 @@ package core
 // The crc footer is an IEEE CRC-32 over every byte before it (the whole
 // file up to and including the "end" line's newline). Any truncation or
 // byte flip fails the checksum before parsing begins; all such failures —
-// and any parse failure on checksummed content — wrap ErrCheckpointCorrupt
-// so callers can distinguish a damaged file from a design/option mismatch
-// and fall back to the rotated ".prev" checkpoint (see ResumeFromFile).
+// and any parse failure on checksummed content other than a format
+// mismatch — wrap ErrCheckpointCorrupt so callers can distinguish a damaged
+// file from a design/option/format mismatch and fall back to the rotated
+// ".prev" checkpoint (see ResumeFromFile).
 
 import (
 	"bufio"
@@ -547,9 +548,12 @@ func verifyChecksum(data []byte) ([]byte, error) {
 	return body, nil
 }
 
-// parseCheckpoint parses the checksummed checkpoint body. Any failure here
-// means the content is malformed despite a valid checksum — still reported
-// as corruption, since no well-formed writer produces such a file.
+// parseCheckpoint parses the checksummed checkpoint body. A failure here
+// means the content is malformed despite a valid checksum and is reported
+// as corruption, except for a format mismatch: an unsupported version or a
+// record this build does not know. Another build's writer produces those
+// from sound state, and the .prev file it rotated has the same format, so
+// they are plain errors.
 func parseCheckpoint(body []byte) (*checkpoint, error) {
 	sc := bufio.NewScanner(bytes.NewReader(body))
 	// Vectors are single lines of 2N floats; allow very long lines.
@@ -737,7 +741,7 @@ func parseCheckpoint(body []byte) (*checkpoint, error) {
 		case "end":
 			sawEnd = true
 		default:
-			return nil, corruptf("checkpoint line %d: unknown record %q", lineNo, f[0])
+			return nil, fmt.Errorf("core: checkpoint line %d: unknown record %q (format of another build)", lineNo, f[0])
 		}
 		if err := p.done(); err != nil {
 			return nil, corruptf("checkpoint line %d: %v", lineNo, err)

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/synth"
@@ -84,6 +85,50 @@ func TestCheckpointMalformedInputs(t *testing.T) {
 		t.Error("version 99 checkpoint accepted")
 	} else if errors.Is(err, ErrCheckpointCorrupt) {
 		t.Errorf("unsupported version misclassified as corruption: %v", err)
+	}
+}
+
+// withCRC returns body followed by its crc footer.
+func withCRC(body []byte) []byte {
+	var buf bytes.Buffer
+	buf.Write(body)
+	fmt.Fprintf(&buf, "crc %08x\n", crc32.ChecksumIEEE(body))
+	return buf.Bytes()
+}
+
+// TestUnknownRecordIsFormatMismatch: a CRC-valid checkpoint holding a
+// record this build does not know (another build's format) is a plain
+// error, not ErrCheckpointCorrupt, and resuming from it does not fall back
+// to the .prev file, which would hold the same format.
+func TestUnknownRecordIsFormatMismatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("placement run for the seed checkpoint; skipped in -short")
+	}
+	dir := t.TempDir()
+	raw := seedCheckpoint(t, dir)
+	body := raw[:bytes.LastIndex(raw, []byte("crc "))]
+	end := bytes.LastIndex(body, []byte("end\n"))
+	foreign := withCRC(append(append(append([]byte(nil), body[:end]...), "predict 1 0.5\n"...), body[end:]...))
+
+	_, err := readCheckpoint(bytes.NewReader(foreign))
+	if err == nil || errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), `unknown record "predict"`) {
+		t.Fatalf("unknown record: got %v, want a plain format error", err)
+	}
+
+	// A sound .prev beside it must stay unread: falling back would resume
+	// and succeed.
+	path := filepath.Join(dir, "foreign.ckpt")
+	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".prev", raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opt := fastOpts(ModeOurs)
+	opt.Workers = 1
+	_, err = ResumeFromFile(context.Background(), synth.MustGenerate("tiny_open"), path, opt)
+	if err == nil || errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), `unknown record "predict"`) {
+		t.Fatalf("resume from a foreign-format checkpoint: got %v, want the format error", err)
 	}
 }
 

@@ -79,9 +79,9 @@ func TestDensityBitwiseIdenticalAcrossWorkers(t *testing.T) {
 // The tiled Compute must reproduce it bit for bit.
 func referenceRho(m *Model) (rho, mov []float64) {
 	n := m.NX * m.NY
-	shardRho := parallel.NewShards(n)
-	shardMov := parallel.NewShards(n)
+	var shardRho, shardMov [parallel.NumShards][]float64
 	for s := 0; s < parallel.NumShards; s++ {
+		shardRho[s], shardMov[s] = make([]float64, n), make([]float64, n)
 		lo, hi := parallel.Range(s, len(m.d.Cells))
 		for ci := lo; ci < hi; ci++ {
 			c := &m.d.Cells[ci]
@@ -108,9 +108,13 @@ func referenceRho(m *Model) (rho, mov []float64) {
 	}
 	rho = make([]float64, n)
 	copy(rho, m.fixedRho)
-	parallel.MergeFloats(rho, shardRho)
 	mov = make([]float64, n)
-	parallel.MergeFloats(mov, shardMov)
+	for s := range shardRho {
+		for i := range rho {
+			rho[i] += shardRho[s][i]
+			mov[i] += shardMov[s][i]
+		}
+	}
 	for i := range rho {
 		rho[i] += m.pgRho[i]
 	}

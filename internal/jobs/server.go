@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -169,11 +170,8 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	// MaxBytesReader (unlike a bare LimitReader) closes the connection and
 	// produces a typed error once the cap is crossed, so an oversized body
 	// cannot be streamed in full before being rejected.
-	body := http.MaxBytesReader(w, r.Body, maxPayloadBytes+1<<20)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var spec Spec
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxPayloadBytes+1<<20))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("spec exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
@@ -189,6 +187,15 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusAccepted)
 	writeJSON(w, map[string]string{"id": id})
+}
+
+// decodeSpec reads one JSON job spec, refusing unknown fields.
+func decodeSpec(r io.Reader) (Spec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var spec Spec
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 func isJSONContentType(ct string) bool {

@@ -193,7 +193,7 @@ func TestPoisonedJobIsQuarantined(t *testing.T) {
 
 // overfullPayload is an inline design whose movable cells cannot all fit
 // its rows: 40 chained cells of 8 sites each on a die of 4 rows × 64 sites.
-func overfullPayload(t *testing.T) string {
+func overfullPayload(t testing.TB) string {
 	t.Helper()
 	b := netlist.NewBuilder("overfull", geom.NewRect(0, 0, 64, 32), 8, 1)
 	for i := 0; i < 40; i++ {

@@ -110,31 +110,6 @@ func TestForShardedSumIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestMergeFloatsShardOrder(t *testing.T) {
-	shards := NewShards(4)
-	for s := range shards {
-		for i := range shards[s] {
-			shards[s][i] = float64(s + 1)
-		}
-	}
-	dst := make([]float64, 4)
-	MergeFloats(dst, shards)
-	want := float64(NumShards * (NumShards + 1) / 2)
-	for i, v := range dst {
-		if v != want {
-			t.Fatalf("dst[%d] = %v, want %v", i, v, want)
-		}
-	}
-	ZeroFloats(shards)
-	for s := range shards {
-		for i, v := range shards[s] {
-			if v != 0 {
-				t.Fatalf("shard %d[%d] = %v after ZeroFloats", s, i, v)
-			}
-		}
-	}
-}
-
 func TestForEmptyAndTiny(t *testing.T) {
 	ran := false
 	if tm := For(4, 0, func(_, _, _ int) { ran = true }); ran || tm.Wall != 0 {

@@ -43,14 +43,14 @@ func TestRouteBitwiseIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRouteStatsAccumulate: the choice phases record their cost for the
-// telemetry speedup gauges.
+// TestRouteStatsAccumulate: the cost-field builds record their cost for
+// the telemetry gauge.
 func TestRouteStatsAccumulate(t *testing.T) {
 	d := synth.MustGenerate("tiny_hot")
 	g := NewGrid(d, 32)
 	r := NewRouter(d, g)
 	r.Route()
-	if r.Stats().Wall <= 0 || r.Stats().Busy <= 0 {
-		t.Errorf("stats not accumulated: %+v", r.Stats())
+	if st := r.CostFieldStats(); st.Wall <= 0 || st.Busy <= 0 {
+		t.Errorf("stats not accumulated: %+v", st)
 	}
 }

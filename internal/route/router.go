@@ -12,7 +12,9 @@ import (
 // chooseBatch is the number of segments whose candidate selection runs
 // against one frozen demand snapshot. It is a constant — never derived from
 // the worker count — so the batch boundaries, and therefore every routing
-// decision, are identical for any Workers setting.
+// decision, are identical for any Workers setting. The choice of a full
+// batch costs 35–60 µs at one worker on the bench designs, less than
+// handing it to a second core costs, so it runs serially.
 const chooseBatch = 256
 
 // Fixed pattern-routing knobs.
@@ -29,11 +31,11 @@ const (
 // rounds. It is deterministic for a fixed design and placement.
 //
 // Segments are routed in fixed-size batches: the candidate choice of every
-// segment in a batch reads a frozen demand snapshot (and so parallelizes
-// over the internal/parallel shard layer with disjoint writes), then the
-// chosen patterns are committed serially in segment order. Batch boundaries
-// depend only on the segment count, so results are byte-identical for every
-// worker count.
+// segment in a batch reads a frozen demand snapshot, then the chosen
+// patterns are committed in segment order. The per-batch cost fields are
+// built over the internal/parallel shard layer on large grids. Batch
+// boundaries depend only on the segment count, so results are
+// byte-identical for every worker count.
 //
 // The router is built to be called repeatedly on the same design (the
 // routability loop routes once per iteration): net decomposition is cached
@@ -41,9 +43,9 @@ const (
 // (costfield.go), and the steady state allocates nothing — all scratch,
 // including the returned Result, is router-owned and reused.
 type Router struct {
-	// Workers caps the goroutines used in the candidate-choice phase; 0
-	// selects runtime.GOMAXPROCS(0), 1 runs fully serial. Any setting
-	// produces byte-identical routes.
+	// Workers caps the goroutines used by the cost-field builds; 0 selects
+	// runtime.GOMAXPROCS(0), 1 runs fully serial. Any setting produces
+	// byte-identical routes.
 	Workers int
 
 	d *netlist.Design
@@ -72,20 +74,17 @@ type Router struct {
 	hl, vl []int     // cached DirLayers results (assembleResult is hot)
 
 	choices []int32         // per-batch chosen candidate index
-	stats   parallel.Timing // accumulated cost of the choice phases
 	cfStats parallel.Timing // accumulated cost of the cost-field builds
 
 	cf    costField
 	dc    decompCache
 	moved []bool  // position-delta hint for the next route call (consumed)
-	batch []sseg  // current choice batch (field, so chooseFn needs no closure churn)
 	res   *Result // reused result; see Route for the ownership contract
 
 	// Hot-loop worker functions, bound once at construction so the per-batch
 	// parallel.For calls allocate no closures.
-	chooseFn func(shard, lo, hi int)
-	cfRows   func(shard, lo, hi int)
-	cfCols   func(shard, lo, hi int)
+	cfRows func(shard, lo, hi int)
+	cfCols func(shard, lo, hi int)
 }
 
 // NewRouter creates a router with the default knobs.
@@ -108,11 +107,6 @@ func NewRouter(d *netlist.Design, g *Grid) *Router {
 	r.hl = g.DirLayers(Horizontal)
 	r.vl = g.DirLayers(Vertical)
 	r.cf.init(g.NX, g.NY)
-	r.chooseFn = func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r.choices[i] = int32(r.chooseSegment(r.batch[i].segment))
-		}
-	}
 	r.cfRows = func(_, lo, hi int) {
 		nx := r.cf.nx
 		for y := lo; y < hi; y++ {
@@ -142,10 +136,6 @@ func NewRouter(d *netlist.Design, g *Grid) *Router {
 	}
 	return r
 }
-
-// Stats returns the accumulated wall/busy time of the parallel
-// candidate-choice phases (telemetry: the parallel.route speedup gauge).
-func (r *Router) Stats() parallel.Timing { return r.stats }
 
 // CostFieldStats returns the accumulated wall/busy time of the prefix-sum
 // cost-field builds (telemetry: the parallel.route.costfield gauge).
@@ -200,8 +190,8 @@ func (r *Router) Route() *Result {
 }
 
 // RouteContext is Route with cooperative cancellation: the context is
-// checked between rip-up rounds and between segment batches, and inside
-// the parallel candidate-choice phase. On cancellation it returns
+// checked between rip-up rounds and between segment batches. On
+// cancellation it returns
 // (nil, ctx.Err()) — the router's internal demand state is left partial,
 // but Route/RouteContext reset it on entry, so an aborted call has no
 // effect on any later call. Routing never mutates the design, so a caller
@@ -239,21 +229,17 @@ func (r *Router) RouteContext(ctx context.Context) (*Result, error) {
 			if hi > len(segs) {
 				hi = len(segs)
 			}
-			r.batch = segs[lo:hi]
+			batch := segs[lo:hi]
 			// The batch's frozen demand snapshot, as O(1) prefix sums.
 			r.buildCostField()
 			// Choice phase: every segment in the batch reads the same
-			// frozen cost field; writes (one choice slot per segment)
-			// are disjoint, so any worker count picks the same patterns.
-			t, err := parallel.ForCtx(ctx, r.Workers, len(r.batch), r.chooseFn)
-			r.stats.Add(t)
-			if err != nil {
-				rsp.End()
-				return nil, err
+			// frozen cost field.
+			for i := range batch {
+				r.choices[i] = int32(r.chooseSegment(batch[i].segment))
 			}
-			// Commit phase: serial, in segment order.
-			for i := range r.batch {
-				dw, dv := r.commitSegment(r.batch[i].segment, int(r.choices[i]))
+			// Commit phase, in segment order.
+			for i := range batch {
+				dw, dv := r.commitSegment(batch[i].segment, int(r.choices[i]))
 				wl += dw
 				vias += dv
 			}
@@ -431,8 +417,8 @@ func (r *Router) enumerate(s segment, out []candidate) []candidate {
 }
 
 // chooseSegment picks the cheapest candidate for s against the batch's
-// frozen cost field without modifying anything — safe to call concurrently
-// for segments of one batch. It returns the candidate index for
+// frozen cost field without modifying anything. It returns the candidate
+// index for
 // commitSegment. The caller must have built the cost field against the
 // current demand state (RouteContext does, at the top of every batch).
 func (r *Router) chooseSegment(s segment) int {

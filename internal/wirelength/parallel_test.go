@@ -74,11 +74,12 @@ func TestEvaluateStatsAccumulate(t *testing.T) {
 // in the gradient loop — the kernel the per-pin gather must reproduce bit
 // for bit.
 func scatterReference(d *netlist.Design, gamma float64, grad []float64) float64 {
-	shardGrad := parallel.NewShards(2 * len(d.Cells))
+	var shardGrad [parallel.NumShards][]float64
 	var parts [parallel.NumShards]float64
 	for s := 0; s < parallel.NumShards; s++ {
 		lo, hi := parallel.Range(s, len(d.Nets))
-		sg := shardGrad[s]
+		sg := make([]float64, 2*len(d.Cells))
+		shardGrad[s] = sg
 		var total float64
 		for e := lo; e < hi; e++ {
 			net := &d.Nets[e]
@@ -130,7 +131,11 @@ func scatterReference(d *netlist.Design, gamma float64, grad []float64) float64 
 		}
 		parts[s] = total
 	}
-	parallel.MergeFloats(grad, shardGrad)
+	for _, sg := range shardGrad {
+		for i, v := range sg {
+			grad[i] += v
+		}
+	}
 	return parallel.SumShards(&parts)
 }
 

@@ -237,6 +237,13 @@ func (m *Model) Evaluate() float64 { return m.EvaluateWithGrad(nil) }
 // to sg[2·k+off]. The max/min-shifted exponentials keep the computation
 // stable for any coordinate magnitude; ep and en are caller scratch sized
 // to at least the net degree.
+//
+// Exponentials whose value is known exactly are not computed: a pin at
+// the maximum has max-side argument ±0 and a pin at the minimum has
+// min-side argument ±0, which is exactly 1 when γ > 0 (Inf−Inf, 0/0 and
+// NaN/γ are NaN, so only a difference of exactly zero qualifies), and on a
+// two-pin net with distinct coordinates the low pin's max side and the
+// high pin's min side are the same exponential of the same argument.
 func (m *Model) axisWA(coords, ep, en, sg []float64, w float64, off int) float64 {
 	lo, hi := coords[0], coords[0]
 	for _, c := range coords[1:] {
@@ -248,13 +255,30 @@ func (m *Model) axisWA(coords, ep, en, sg []float64, w float64, off int) float64
 		}
 	}
 	g := m.gamma
+	expG := func(d float64) float64 { // exp(d/γ)
+		if d == 0 && g > 0 {
+			return 1
+		}
+		return math.Exp(d / g)
+	}
 	// Positive side (max approximation), shifted by hi.
 	// Negative side (min approximation), shifted by lo.
+	if len(coords) == 2 && (coords[0] < coords[1] || coords[1] < coords[0]) {
+		a, b := coords[0], coords[1]
+		shared := math.Exp((lo - hi) / g)
+		if a < b {
+			ep[0], en[0], ep[1], en[1] = shared, expG(a-a), expG(b-b), shared
+		} else {
+			ep[0], en[0], ep[1], en[1] = expG(a-a), shared, shared, expG(b-b)
+		}
+	} else {
+		for k, c := range coords {
+			ep[k], en[k] = expG(c-hi), expG(lo-c)
+		}
+	}
 	var sP, sxP, sN, sxN float64
 	for k, c := range coords {
-		p := math.Exp((c - hi) / g)
-		q := math.Exp((lo - c) / g)
-		ep[k], en[k] = p, q
+		p, q := ep[k], en[k]
 		sP += p
 		sxP += c * p
 		sN += q

@@ -267,3 +267,83 @@ func TestWAHPWLLSESandwich(t *testing.T) {
 		}
 	}
 }
+
+// referenceAxisWA is axisWA computing every exponential — the kernel the
+// shortcuts must reproduce bit for bit.
+func referenceAxisWA(g float64, coords, sg []float64, w float64, off int) float64 {
+	lo, hi := coords[0], coords[0]
+	for _, c := range coords[1:] {
+		if c < lo {
+			lo = c
+		}
+		if c > hi {
+			hi = c
+		}
+	}
+	ep := make([]float64, len(coords))
+	en := make([]float64, len(coords))
+	var sP, sxP, sN, sxN float64
+	for k, c := range coords {
+		p := math.Exp((c - hi) / g)
+		q := math.Exp((lo - c) / g)
+		ep[k], en[k] = p, q
+		sP += p
+		sxP += c * p
+		sN += q
+		sxN += c * q
+	}
+	length := sxP/sP - sxN/sN
+	xP, sP2 := sxP/g, sP*sP
+	xN, sN2 := sxN/g, sN*sN
+	for k, c := range coords {
+		dMax := ep[k] * ((1+c/g)*sP - xP) / sP2
+		dMin := en[k] * ((1-c/g)*sN + xN) / sN2
+		sg[2*k+off] = w * (dMax - dMin)
+	}
+	return length
+}
+
+// TestAxisWAShortcutsMatchReference: skipping the exponentials known to
+// be 1 and sharing the two-pin exponential changes no bit of the length or
+// the gradient, on random nets with tied, ±0, ±Inf and NaN coordinates and
+// with γ normal, 0, NaN, negative and +Inf. Where the reference is NaN the
+// result must be NaN.
+func TestAxisWAShortcutsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 3.5, -2}
+	coord := func() float64 {
+		if rng.Intn(3) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return math.Round(rng.NormFloat64()*8) / 2 // ties are common
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	m := &Model{}
+	for _, g := range []float64{2.5, 0.3, 0, math.NaN(), -1.5, math.Inf(1)} {
+		m.gamma = g
+		for it := 0; it < 4000; it++ {
+			n := 2 + rng.Intn(4)
+			if it%2 == 0 {
+				n = 2
+			}
+			coords := make([]float64, n)
+			for k := range coords {
+				coords[k] = coord()
+			}
+			ep, en := make([]float64, n), make([]float64, n)
+			got, want := make([]float64, 2*n), make([]float64, 2*n)
+			gl := m.axisWA(coords, ep, en, got, 1.25, 1)
+			wl := referenceAxisWA(g, coords, want, 1.25, 1)
+			if !same(gl, wl) {
+				t.Fatalf("γ=%v coords %v: length %v, want %v", g, coords, gl, wl)
+			}
+			for k := range got {
+				if !same(got[k], want[k]) {
+					t.Fatalf("γ=%v coords %v: gradient[%d] %v, want %v", g, coords, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
