@@ -61,9 +61,10 @@ type Model struct {
 	// Penalty so V' matches the gradients.
 	virtX, virtY []float64
 
-	// Gradient assembly state (see Gradients). Two-pin net e's Algorithm 1
-	// terms for pins 0 and 1 live in slots 2e and 2e+1, and its virtual
-	// cell in virt[e]; only the shard that owns net e writes them.
+	// Gradient assembly state (see Gradients). Two-pin net e's virtual cell
+	// is virt[e] and, when has[e], its Algorithm 1 terms for pins 0 and 1
+	// are term[2e] and term[2e+1]; only the shard that owns net e writes
+	// them. The gather applies terms to movable cells only.
 	term []geom.Point
 	has  []bool
 	virt []virtualCell
@@ -109,7 +110,7 @@ func New(d *netlist.Design, g *route.Grid) *Model {
 	}
 	m.field = m.solver.NewGrid()
 	m.term = make([]geom.Point, 2*len(d.Nets))
-	m.has = make([]bool, 2*len(d.Nets))
+	m.has = make([]bool, len(d.Nets))
 	m.virt = make([]virtualCell, len(d.Nets))
 	m.buildGather()
 	var area float64
@@ -379,7 +380,7 @@ func (m *Model) gather(grad []float64, lo, hi int) (hits, congested int) {
 					gy -= f.Y
 					hits++
 				}
-			case m.has[k]:
+			case m.has[k/2]:
 				gx -= m.term[k].X
 				gy -= m.term[k].Y
 			}
@@ -393,7 +394,7 @@ func (m *Model) gather(grad []float64, lo, hi int) (hits, congested int) {
 // project its field force on the segment normal, and lever it onto the two
 // cells. It writes the net's virtual cell and its two term slots.
 func (m *Model) twoPinGradient(e int, net *netlist.Net) {
-	m.has[2*e], m.has[2*e+1] = false, false
+	m.has[e] = false
 	p1 := m.d.PinPos(net.Pins[0])
 	p2 := m.d.PinPos(net.Pins[1])
 	v, ok := m.VirtualCell(p1, p2)
@@ -418,17 +419,14 @@ func (m *Model) twoPinGradient(e int, net *netlist.Net) {
 	fperp := n.Scale(fv.Dot(n))
 
 	for k, p := range [2]geom.Point{p1, p2} {
-		if !m.d.Cells[m.d.Pins[net.Pins[k]].Cell].Movable() {
-			continue
-		}
 		div := p.Dist(v)
 		factor := m.MaxLeverage
 		if div > 0 {
 			factor = math.Min(L/(2*div), m.MaxLeverage)
 		}
 		m.term[2*e+k] = geom.Point{X: factor * fperp.X, Y: factor * fperp.Y}
-		m.has[2*e+k] = true
 	}
+	m.has[e] = true
 }
 
 // Penalty returns C(x,y) = ½·Σ_{i∈V'} A_i·ψ_i (Sec. II-B) where V' is the

@@ -15,7 +15,20 @@ import (
 // two-pin "victim" net whose chord passes through the hotspot.
 func hotspotSetup(t testing.TB) (*netlist.Design, *route.Grid, *route.Result, *Model) {
 	t.Helper()
-	b := netlist.NewBuilder("hotspot", geom.NewRect(0, 0, 256, 256), 8, 1)
+	b, _ := hotspotBuilder()
+	b.SetRouteCapScale(0.12)
+	d := b.MustBuild()
+	g := route.NewGrid(d, 32)
+	res := route.NewRouter(d, g).Route()
+	m := New(d, g)
+	m.Update(res)
+	return d, g, res, m
+}
+
+// hotspotBuilder adds hotspotSetup's cells and nets to a fresh builder and
+// returns it with the hub cell's index.
+func hotspotBuilder() (b *netlist.Builder, hub int) {
+	b = netlist.NewBuilder("hotspot", geom.NewRect(0, 0, 256, 256), 8, 1)
 	const n = 48
 	for i := 0; i < n; i++ {
 		b.AddCell("h", netlist.StdCell, 120+float64(i%8)*2, 120+float64(i/8)*2, 2, 8)
@@ -32,19 +45,13 @@ func hotspotSetup(t testing.TB) (*netlist.Design, *route.Grid, *route.Result, *M
 	b.Connect(va, vn, 0, 0)
 	b.Connect(vb, vn, 0, 0)
 	// A multi-pin hub cell inside the hotspot with far more pins than avg.
-	hub := b.AddCell("hub", netlist.StdCell, 126, 126, 4, 8)
+	hub = b.AddCell("hub", netlist.StdCell, 126, 126, 4, 8)
 	for k := 0; k < 8; k++ {
 		net := b.AddNet("hubnet", 1)
 		b.Connect(hub, net, 0, 0)
 		b.Connect(k, net, 0, 0)
 	}
-	b.SetRouteCapScale(0.12)
-	d := b.MustBuild()
-	g := route.NewGrid(d, 32)
-	res := route.NewRouter(d, g).Route()
-	m := New(d, g)
-	m.Update(res)
-	return d, g, res, m
+	return b, hub
 }
 
 func TestUpdateRequiresMatchingGrid(t *testing.T) {

@@ -94,28 +94,14 @@ func serialGradients(m *Model, grad []float64) (st Stats, virtX, virtY []float64
 }
 
 // mixedSetup is the hotspot design plus the cases the gather must order
-// correctly: a wide movable cell holding both pins of a two-pin net whose
-// chord crosses the hotspot (eight of them, so that the order of the two
-// terms shows in the rounding), and fixed cells (a macro and a pad) on two-pin
-// nets to movable cells.
+// correctly: wide movable cells each holding both pins of a two-pin net
+// whose chord crosses the hotspot (eight of them, so that the order of the
+// two terms shows in the rounding), and fixed cells (a macro and a pad) on
+// two-pin nets to movable cells.
 func mixedSetup(t testing.TB) (*netlist.Design, *Model) {
 	t.Helper()
-	b := netlist.NewBuilder("mixed", geom.NewRect(0, 0, 256, 256), 8, 1)
-	const n = 48
-	for i := 0; i < n; i++ {
-		b.AddCell("h", netlist.StdCell, 120+float64(i%8)*2, 120+float64(i/8)*2, 2, 8)
-	}
-	for i := 0; i+1 < n; i++ {
-		net := b.AddNet("hn", 1)
-		b.Connect(i, net, 0, 0)
-		b.Connect(i+1, net, 0, 0)
-	}
-	hub := b.AddCell("hub", netlist.StdCell, 126, 126, 4, 8)
-	for k := 0; k < 8; k++ {
-		net := b.AddNet("hubnet", 1)
-		b.Connect(hub, net, 0, 0)
-		b.Connect(k, net, 0, 0)
-	}
+	const n = 48 // hotspot cells
+	b, hub := hotspotBuilder()
 	var wide int
 	for k := 0; k < 8; k++ {
 		off := 10 + 1.5*float64(k)
@@ -234,7 +220,7 @@ func compareGradients(t *testing.T, m *Model, start []float64, poisoned, selfNet
 		}
 		both := 0
 		for e := range m.d.Nets {
-			if m.d.Nets[e].Name == "self" && m.has[2*e] && m.has[2*e+1] {
+			if m.d.Nets[e].Name == "self" && m.has[e] {
 				both++
 			}
 		}

@@ -37,7 +37,8 @@ func seedCheckpoint(tb testing.TB, dir string) []byte {
 // TestCheckpointMalformedInputs pins the typed-error contract of the reader:
 // integrity failures (truncation, bit rot, garbage) are ErrCheckpointCorrupt
 // — the class the .prev fallback retries — while semantic mismatches (wrong
-// design) are plain errors, because retrying another file cannot fix them.
+// design) and format mismatches (another build's version or records) are
+// plain errors, because retrying another file cannot fix them.
 func TestCheckpointMalformedInputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("placement run for the seed checkpoint; skipped in -short")
@@ -73,50 +74,26 @@ func TestCheckpointMalformedInputs(t *testing.T) {
 		t.Errorf("design mismatch misclassified as corruption: %v", err)
 	}
 
-	// Unsupported version: CRC-valid but too new — also not corruption (a
-	// .prev fallback must not mask a version skew). Rebuild the CRC so only
-	// the version line is wrong.
-	body := bytes.Replace(raw, []byte("nmckpt 2\n"), []byte("nmckpt 99\n"), 1)
-	body = body[:bytes.LastIndex(body, []byte("crc "))]
-	var vbuf bytes.Buffer
-	vbuf.Write(body)
-	fmt.Fprintf(&vbuf, "crc %08x\n", crc32.ChecksumIEEE(body))
-	if _, err := readCheckpoint(bytes.NewReader(vbuf.Bytes())); err == nil {
-		t.Error("version 99 checkpoint accepted")
-	} else if errors.Is(err, ErrCheckpointCorrupt) {
-		t.Errorf("unsupported version misclassified as corruption: %v", err)
-	}
-}
-
-// withCRC returns body followed by its crc footer.
-func withCRC(body []byte) []byte {
-	var buf bytes.Buffer
-	buf.Write(body)
-	fmt.Fprintf(&buf, "crc %08x\n", crc32.ChecksumIEEE(body))
-	return buf.Bytes()
-}
-
-// TestUnknownRecordIsFormatMismatch: a CRC-valid checkpoint holding a
-// record this build does not know (another build's format) is a plain
-// error, not ErrCheckpointCorrupt, and resuming from it does not fall back
-// to the .prev file, which would hold the same format.
-func TestUnknownRecordIsFormatMismatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("placement run for the seed checkpoint; skipped in -short")
-	}
-	dir := t.TempDir()
-	raw := seedCheckpoint(t, dir)
+	// Format mismatches, CRC-valid (the footer is rebuilt) — not corruption:
+	// a .prev fallback must not mask a version skew or another build's
+	// records.
 	body := raw[:bytes.LastIndex(raw, []byte("crc "))]
 	end := bytes.LastIndex(body, []byte("end\n"))
 	foreign := withCRC(append(append(append([]byte(nil), body[:end]...), "predict 1 0.5\n"...), body[end:]...))
-
-	_, err := readCheckpoint(bytes.NewReader(foreign))
-	if err == nil || errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), `unknown record "predict"`) {
-		t.Fatalf("unknown record: got %v, want a plain format error", err)
+	for name, data := range map[string][]byte{
+		"version 99":     withCRC(bytes.Replace(body, []byte("nmckpt 2\n"), []byte("nmckpt 99\n"), 1)),
+		"unknown record": foreign,
+	} {
+		if _, err := readCheckpoint(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: checkpoint accepted", name)
+		} else if errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("%s: misclassified as corruption: %v", name, err)
+		}
 	}
 
-	// A sound .prev beside it must stay unread: falling back would resume
-	// and succeed.
+	// A sound .prev beside the foreign checkpoint must stay unread:
+	// falling back would resume and succeed.
+	dir := t.TempDir()
 	path := filepath.Join(dir, "foreign.ckpt")
 	if err := os.WriteFile(path, foreign, 0o644); err != nil {
 		t.Fatal(err)
@@ -128,8 +105,16 @@ func TestUnknownRecordIsFormatMismatch(t *testing.T) {
 	opt.Workers = 1
 	_, err = ResumeFromFile(context.Background(), synth.MustGenerate("tiny_open"), path, opt)
 	if err == nil || errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), `unknown record "predict"`) {
-		t.Fatalf("resume from a foreign-format checkpoint: got %v, want the format error", err)
+		t.Errorf("resume from a foreign-format checkpoint: got %v, want the format error", err)
 	}
+}
+
+// withCRC returns body followed by its crc footer.
+func withCRC(body []byte) []byte {
+	var buf bytes.Buffer
+	buf.Write(body)
+	fmt.Fprintf(&buf, "crc %08x\n", crc32.ChecksumIEEE(body))
+	return buf.Bytes()
 }
 
 // FuzzReadCheckpoint: the parser must never panic on arbitrary bytes, and

@@ -3,7 +3,6 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
-	"sync"
 	"testing"
 
 	"repro/internal/synth"
@@ -48,8 +47,7 @@ func FuzzSpec(f *testing.F) {
 	// Catalog designs are built once per name; the 100k–1M-cell families
 	// are left out, since generating them takes seconds and gigabytes and
 	// no spec byte changes what they contain.
-	var catalog sync.Map
-	big := map[string]bool{}
+	built, big := map[string]bool{}, map[string]bool{}
 	for _, n := range synth.BigDesigns() {
 		big[n] = true
 	}
@@ -71,12 +69,10 @@ func FuzzSpec(f *testing.F) {
 		}
 		spec.coreOptions()
 		if spec.Design != "" {
-			if big[spec.Design] {
+			if big[spec.Design] || built[spec.Design] {
 				return
 			}
-			if _, seen := catalog.LoadOrStore(spec.Design, true); seen {
-				return
-			}
+			built[spec.Design] = true
 		}
 		if d, err := spec.BuildDesign(); err == nil && d == nil {
 			t.Fatal("BuildDesign returned neither a design nor an error")

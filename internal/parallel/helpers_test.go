@@ -99,10 +99,9 @@ func TestCancelMidCall(t *testing.T) {
 }
 
 // TestOversubscribedWorkersMakeProgress: Workers 4 at GOMAXPROCS 1. The
-// shard bodies yield, so helpers claim shards while the caller runs, and
-// the caller must yield or block while it waits for them: spinning would
-// hold the only processor until the runtime preempts it, about 10 ms per
-// call.
+// caller and three helpers share one processor, and the shard bodies
+// yield, so helpers claim shards while the caller runs and the caller
+// waits on shards they hold; every call still finishes promptly.
 func TestOversubscribedWorkersMakeProgress(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)

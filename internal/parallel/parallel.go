@@ -139,9 +139,6 @@ func ForCtx(ctx context.Context, workers, n int, fn func(shard, start, end int))
 	runtime.Gosched()
 	c.work()
 	busy := time.Since(t0)
-	if c.cancelled.Load() {
-		c.next.Store(NumShards) // no helper claims a shard from here on
-	}
 	c.awaitHelpers()
 	t := Timing{Wall: time.Since(t0), Busy: busy + time.Duration(c.busy.Load())}
 	if c.cancelled.Load() {
