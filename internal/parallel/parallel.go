@@ -105,8 +105,8 @@ func For(workers, n int, fn func(shard, start, end int)) Timing {
 // helper has left the call before ForCtx returns, but on a non-nil error
 // an unknown SUBSET of shards has executed — the caller must treat every
 // output buffer the kernel wrote as garbage and either discard it or
-// rebuild it from scratch. Determinism is unaffected on the nil-error
-// path: all shards ran, exactly as For.
+// rebuild it in full. Determinism is unaffected on the nil-error path:
+// all shards ran, exactly as For.
 //
 // Workers=1 runs the shards inline, in order. Otherwise the caller offers
 // the call to up to w−1 helper goroutines (see helper) and claims shards

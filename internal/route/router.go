@@ -13,8 +13,8 @@ import (
 // against one frozen demand snapshot. It is a constant — never derived from
 // the worker count — so the batch boundaries, and therefore every routing
 // decision, are identical for any Workers setting. The choice of a full
-// batch costs 35–60 µs at one worker on the bench designs, less than
-// handing it to a second core costs, so it runs serially.
+// batch costs 35–60 µs at one worker on the bench designs (2-vCPU x86-64
+// host), less than handing it to a second core costs, so it runs serially.
 const chooseBatch = 256
 
 // Fixed pattern-routing knobs.
