@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -327,4 +329,53 @@ func TestCancellation(t *testing.T) {
 	// Goroutine accounting: allow the runtime a moment to retire workers,
 	// then require the count back near the pre-test baseline.
 	testutil.AssertNoGoroutineLeak(t, baseline)
+}
+
+// writeVecFmt is writeVec's fmt form, the reference for its bytes.
+func writeVecFmt(bw *bytes.Buffer, name string, v []float64) {
+	fmt.Fprintf(bw, "vec %s %d", name, len(v))
+	for _, x := range v {
+		fmt.Fprintf(bw, " %g", x)
+	}
+	fmt.Fprintf(bw, "\n")
+}
+
+// TestWriteVecMatchesFmt: checkpoint vectors written with
+// strconv.AppendFloat are byte-identical to the fmt " %g" form, on ±0,
+// ±Inf, NaN, subnormals, the extremes, random magnitudes and random bit
+// patterns (NaN payloads included).
+func TestWriteVecMatchesFmt(t *testing.T) {
+	sub := math.Float64frombits(1)
+	v := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), sub, -sub,
+		math.Float64frombits(0x000fffffffffffff), math.MaxFloat64, -math.MaxFloat64,
+		1, -1, 0.1, 1e20, 1e21, 1e-4, 1e-5, 123456789, 1.5e300}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20000; i++ {
+		switch i % 4 {
+		case 0:
+			v = append(v, rng.NormFloat64())
+		case 1:
+			v = append(v, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(600)-300)))
+		case 2:
+			v = append(v, math.Float64frombits(rng.Uint64()))
+		default:
+			v = append(v, float64(rng.Intn(1<<20)))
+		}
+	}
+	for _, vec := range [][]float64{nil, v[:1], v[:5], v} {
+		var got, want bytes.Buffer
+		got.WriteString("cells 3\n")
+		want.WriteString("cells 3\n")
+		writeVec(&got, "cellpos", vec)
+		writeVecFmt(&want, "cellpos", vec)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			g, w := strings.Fields(got.String()), strings.Fields(want.String())
+			for i := range min(len(g), len(w)) {
+				if g[i] != w[i] {
+					t.Fatalf("%d elements: field %d is %q, fmt gives %q", len(vec), i, g[i], w[i])
+				}
+			}
+			t.Fatalf("%d elements: %d bytes, fmt gives %d", len(vec), got.Len(), want.Len())
+		}
+	}
 }

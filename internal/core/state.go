@@ -415,12 +415,15 @@ func b01(v bool) string {
 	return "0"
 }
 
+// writeVec writes one vector record. Each element is the shortest 'g' form
+// that reads back to the same float64, the bytes fmt's " %g" gives.
 func writeVec(bw *bytes.Buffer, name string, v []float64) {
 	fmt.Fprintf(bw, "vec %s %d", name, len(v))
 	for _, x := range v {
-		fmt.Fprintf(bw, " %g", x)
+		b := append(bw.AvailableBuffer(), ' ')
+		bw.Write(strconv.AppendFloat(b, x, 'g', -1, 64))
 	}
-	fmt.Fprintf(bw, "\n")
+	bw.WriteByte('\n')
 }
 
 // ---- Reading ----

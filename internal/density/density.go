@@ -16,6 +16,7 @@ package density
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -418,23 +419,30 @@ func (q *charge) tileSpan() (tx0, ty0, tx1, ty1 int, ok bool) {
 // visiting only bins inside the tile. The per-bin overlap arithmetic is
 // identical to splat; bins of the rect outside this tile are splatted by the
 // tiles that own them. The x-overlaps are computed once per call into oxs
-// and reused by every bin row.
-func (m *Model) splatTile(dst []float64, q *charge, tbx0, tby0, bw, bh int, oxs *[tileBins]float64) {
+// and reused by every bin row. touched gets, per tile row the splat writes
+// to, a bit for each tile column of the charge's bin span; every bin written
+// has its bit set.
+func (m *Model) splatTile(dst []float64, q *charge, tbx0, tby0, bw, bh int, oxs *[tileBins]float64, touched *[tileBins]uint32) {
 	r := q.r
 	bx0 := max(int(q.bx0), tbx0)
 	by0 := max(int(q.by0), tby0)
 	bx1 := min(int(q.bx1), tbx0+bw-1)
 	by1 := min(int(q.by1), tby0+bh-1)
+	if bx0 > bx1 { // nothing to write; keeps the column shift below valid
+		return
+	}
 	for bx := bx0; bx <= bx1; bx++ {
 		x0 := m.d.Die.Lo.X + float64(bx)*m.binW
 		oxs[bx-tbx0] = geom.OverlapLen(r.Lo.X, r.Hi.X, x0, x0+m.binW)
 	}
+	cols := (uint32(1)<<(bx1-bx0+1) - 1) << (bx0 - tbx0) // bits bx0..bx1; all 32 when the shift is 32
 	for by := by0; by <= by1; by++ {
 		y0 := m.d.Die.Lo.Y + float64(by)*m.binH
 		oy := geom.OverlapLen(r.Lo.Y, r.Hi.Y, y0, y0+m.binH)
 		if oy <= 0 {
 			continue
 		}
+		touched[by-tby0] |= cols
 		row := (by-tby0)*bw - tbx0
 		for bx := bx0; bx <= bx1; bx++ {
 			ox := oxs[bx-tbx0]
@@ -549,9 +557,11 @@ func (ti *tileIndex) build(workers, nt, n, tpx int, span func(i int) (tx0, ty0, 
 // with partial P_s summed from zero over shard s's movable cells then
 // shard s's fillers in ascending index order — the tile loop just computes
 // each P_s restricted to its own bins (tiles partition the grid, and the
-// per-bin overlap arithmetic is shared with splat). All splat
-// contributions are ≥ 0, so skipping an empty (tile, shard) segment is
-// exact: it only elides additions of +0.0.
+// per-bin overlap arithmetic is shared with splat). Each (tile, shard)
+// segment merges, and re-zeroes, only the bins its splats marked, and an
+// empty segment is skipped. Both are exact: an unmarked bin's partial is
+// +0.0, and adding +0.0 to rho or movArea changes nothing, because neither
+// is ever −0 — fixedRho and every splat contribution are ≥ +0.
 func (m *Model) Compute() {
 	nCells := len(m.d.Cells)
 	nt := m.tpx * m.tpy
@@ -577,8 +587,9 @@ func (m *Model) Compute() {
 	m.stats.Add(m.fillerIndex.build(m.Workers, nt, m.activeFillers, m.tpx,
 		func(k int) (int, int, int, int, bool) { return m.fillerQ[k].tileSpan() }))
 	m.stats.Add(parallel.For(m.Workers, nt, func(worker, lo, hi int) {
-		scratch := m.tileScratch[worker]
+		scratch := m.tileScratch[worker] // all +0 between segments
 		var oxs [tileBins]float64
+		var touched [tileBins]uint32 // per tile row, the columns the segment marked
 		for t := lo; t < hi; t++ {
 			tbx0 := (t % m.tpx) * tileBins
 			tby0 := (t / m.tpx) * tileBins
@@ -604,22 +615,26 @@ func (m *Model) Compute() {
 					continue
 				}
 				part := scratch[:bw*bh]
-				for i := range part {
-					part[i] = 0
-				}
 				for _, ci := range m.cellIndex.list[cLo:cHi] {
-					m.splatTile(part, &m.cellQ[ci], tbx0, tby0, bw, bh, &oxs)
+					m.splatTile(part, &m.cellQ[ci], tbx0, tby0, bw, bh, &oxs, &touched)
 				}
 				for _, k := range m.fillerIndex.list[fLo:fHi] {
-					m.splatTile(part, &m.fillerQ[k], tbx0, tby0, bw, bh, &oxs)
+					m.splatTile(part, &m.fillerQ[k], tbx0, tby0, bw, bh, &oxs, &touched)
 				}
-				for yy := 0; yy < bh; yy++ {
+				for yy, cols := range touched[:bh] {
+					touched[yy] = 0
 					srow := yy * bw
 					drow := (tby0+yy)*m.NX + tbx0
-					for xx := 0; xx < bw; xx++ {
-						v := part[srow+xx]
-						m.rho[drow+xx] += v
-						m.movArea[drow+xx] += v
+					for cols != 0 { // one run of marked columns at a time
+						x0 := bits.TrailingZeros32(cols)
+						run := bits.TrailingZeros32(^(cols >> x0))
+						for xx := x0; xx < x0+run; xx++ {
+							v := part[srow+xx]
+							part[srow+xx] = 0
+							m.rho[drow+xx] += v
+							m.movArea[drow+xx] += v
+						}
+						cols &^= (uint32(1)<<run - 1) << x0
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -139,5 +140,32 @@ func TestTimingSpeedup(t *testing.T) {
 	tm.Add(Timing{Wall: 100, Busy: 150})
 	if tm.Wall != 200 || tm.Busy != 400 {
 		t.Errorf("Add gave %+v", tm)
+	}
+}
+
+// BenchmarkFor times the fork/join the kernels pay per call, at workers 1
+// and 2: a call whose body does nothing, and one whose 16 shards do about
+// 30 µs of dependent arithmetic in all at one worker, the size of the
+// placer's smaller parallel sections.
+func BenchmarkFor(b *testing.B) {
+	var sink [NumShards]float64
+	work := func(shard, lo, hi int) {
+		x := float64(shard)
+		for i := lo * 640; i < hi*640; i++ {
+			x = x*0.999 + 1
+		}
+		sink[shard] = x
+	}
+	for _, body := range []struct {
+		name string
+		fn   func(shard, lo, hi int)
+	}{{"empty", func(int, int, int) {}}, {"work30us", work}} {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", body.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					For(w, NumShards, body.fn)
+				}
+			})
+		}
 	}
 }

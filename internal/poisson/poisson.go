@@ -14,9 +14,10 @@
 // (paper Sec. II-B takes ρ = Dmd/Cap on the G-cell grid).
 //
 // Every transform stage is a set of independent 1-D row or column
-// transforms with disjoint outputs, so the solver parallelizes over the
-// internal/parallel shard layer with NO reductions at all: outputs are
-// bitwise-identical to the serial solver for every worker count.
+// transforms with disjoint outputs, run spectral.Lanes at a time, so the
+// solver parallelizes over the internal/parallel shard layer with NO
+// reductions at all: outputs are bitwise-identical to the serial solver for
+// every worker count.
 package poisson
 
 import (
@@ -28,8 +29,12 @@ import (
 )
 
 // Solver is a reusable spectral Poisson solver on an NX×NY grid. It
-// preallocates all scratch space (one trig-plan clone and one column
-// buffer per parallel shard); Solve performs no allocation.
+// transforms Lanes rows or columns at a time through the spectral plans of
+// its two lengths, which every solver of the same length shares along with
+// their pooled lane scratch. At Workers=1, Solve and Potential allocate
+// nothing once the plans' scratch exists; with more workers, each of their
+// parallel sections allocates the per-call state of a multi-worker
+// parallel.For.
 type Solver struct {
 	// Workers caps the goroutines used per Solve; 0 selects
 	// runtime.GOMAXPROCS(0), 1 runs fully serial. Any setting produces
@@ -37,21 +42,16 @@ type Solver struct {
 	Workers int
 
 	nx, ny int
-	trigX  [parallel.NumShards]*spectral.Trig // per-shard plans (shared tables)
-	trigY  [parallel.NumShards]*spectral.Trig
+	px, py *spectral.Plan // transforms along x (rows) and y (columns)
 
-	wx []float64 // frequencies π·u/nx
-	wy []float64 // frequencies π·v/ny
+	coef  []float64 // DCT-II coefficients of ρ from the last Solve
+	fil   []float64 // spectral filter c_u·c_v/(nx·ny·(w_u²+w_v²))
+	filEx []float64 // fil · w_u (Ex differentiation)
+	filEy []float64 // fil · w_v (Ey differentiation)
+	psiOf *Grid     // grid whose Psi holds the last solve's potential, if any
 
-	coef   []float64                     // DCT-II coefficients of ρ from the last Solve
-	fil    []float64                     // spectral filter c_u·c_v/(nx·ny·(w_u²+w_v²))
-	filEx  []float64                     // fil · w_u (Ex differentiation)
-	filEy  []float64                     // fil · w_v (Ey differentiation)
-	colBuf [parallel.NumShards][]float64 // per-shard row/column scratch, length max(nx, ny)
-	colOut [parallel.NumShards][]float64
-	tmpA   []float64 // nx*ny intermediates
-	tmpB   []float64
-	psiOf  *Grid // grid whose Psi holds the last solve's potential, if any
+	sw      sweep                   // the sweep sweepFn runs
+	sweepFn func(shard, lo, hi int) // s.runSweep, bound once: binding per call allocates
 
 	stats parallel.Timing // accumulated cost of the parallel sections
 }
@@ -76,38 +76,26 @@ func NewSolver(nx, ny int) (*Solver, error) {
 	s := &Solver{
 		nx:    nx,
 		ny:    ny,
-		wx:    make([]float64, nx),
-		wy:    make([]float64, ny),
 		coef:  make([]float64, nx*ny),
 		fil:   make([]float64, nx*ny),
 		filEx: make([]float64, nx*ny),
 		filEy: make([]float64, nx*ny),
-		tmpA:  make([]float64, nx*ny),
-		tmpB:  make([]float64, nx*ny),
 	}
-	tx, err := spectral.NewTrig(nx)
-	if err != nil {
+	var err error
+	if s.px, err = spectral.PlanFor(nx); err != nil {
 		return nil, err
 	}
-	ty, err := spectral.NewTrig(ny)
-	if err != nil {
+	if s.py, err = spectral.PlanFor(ny); err != nil {
 		return nil, err
 	}
-	n := nx
-	if ny > n {
-		n = ny
-	}
-	for i := 0; i < parallel.NumShards; i++ {
-		s.trigX[i] = tx.Clone()
-		s.trigY[i] = ty.Clone()
-		s.colBuf[i] = make([]float64, n)
-		s.colOut[i] = make([]float64, n)
-	}
+	s.sweepFn = s.runSweep
+	wx := make([]float64, nx) // frequencies π·u/nx
+	wy := make([]float64, ny) // frequencies π·v/ny
 	for u := 0; u < nx; u++ {
-		s.wx[u] = math.Pi * float64(u) / float64(nx)
+		wx[u] = math.Pi * float64(u) / float64(nx)
 	}
 	for v := 0; v < ny; v++ {
-		s.wy[v] = math.Pi * float64(v) / float64(ny)
+		wy[v] = math.Pi * float64(v) / float64(ny)
 	}
 	// Precompute the spectral filter tables: the per-mode scale factor
 	// c_u·c_v/(nx·ny·(w_u²+w_v²)) and its w_u/w_v-differentiated variants
@@ -129,11 +117,11 @@ func NewSolver(nx, ny int) (*Solver, error) {
 			if v == 0 {
 				cv = 1
 			}
-			w2 := s.wx[u]*s.wx[u] + s.wy[v]*s.wy[v]
+			w2 := wx[u]*wx[u] + wy[v]*wy[v]
 			f := cu * cv / (float64(nx) * float64(ny) * w2)
 			s.fil[i] = f
-			s.filEx[i] = f * s.wx[u]
-			s.filEy[i] = f * s.wy[v]
+			s.filEx[i] = f * wx[u]
+			s.filEy[i] = f * wy[v]
 		}
 	}
 	return s, nil
@@ -167,94 +155,108 @@ func (s *Solver) NewGrid() *Grid {
 // modified. g.Psi is left as it is: Potential synthesizes ψ from this
 // solve's coefficients for the callers that read it.
 func (s *Solver) Solve(rho []float64, g *Grid) {
-	nx, ny := s.nx, s.ny
-	if len(rho) != nx*ny {
+	if len(rho) != s.nx*s.ny {
 		panic("poisson: rho length mismatch")
 	}
 	s.checkGrid(g)
 	s.psiOf = nil
 
-	// Forward 2-D DCT-II of rho: rows (x direction), then columns (y).
-	// Each row/column transform owns its output rows — no reduction.
-	s.stats.Add(parallel.For(s.Workers, ny, func(shard, lo, hi int) {
-		tx := s.trigX[shard]
-		for iy := lo; iy < hi; iy++ {
-			tx.AnalyzeCos(s.tmpA[iy*nx:(iy+1)*nx], rho[iy*nx:(iy+1)*nx])
-		}
-	}))
-	s.columns(s.tmpA, s.coef, (*spectral.Trig).AnalyzeCos)
+	// Forward 2-D DCT-II of rho: rows (x direction), then columns (y). The
+	// column sweeps transform their grids in place: a lane group is loaded
+	// in full before any of it is written.
+	s.run(sweep{ops: [2]op{{kind: analyze, src: rho, dst: s.coef}}})
+	s.run(sweep{cols: true, ops: [2]op{{kind: analyze, src: s.coef, dst: s.coef}}})
 
-	// Scale each coefficient row by the precomputed spectral filter tables
-	// (DCT normalization, ψ's 1/(w_u²+w_v²) filter and the E-field
-	// differentiation factors, all baked in at construction) and synthesize
-	// along x. The (0,0) entries of the tables are zero, which drops the DC
-	// mode (compatibility condition).
+	// Scale the coefficients by the precomputed spectral filter tables (DCT
+	// normalization, ψ's 1/(w_u²+w_v²) filter and the E-field
+	// differentiation factors, all baked in at construction) as the row
+	// synthesis loads them. The (0,0) entries of the tables are zero, which
+	// drops the DC mode (compatibility condition).
 	// Ex = −∂ψ/∂x = Σ b·w_u·sin(w_u(x+½))·cos(w_v(y+½)): sine synth in x, cos in y.
 	// Ey symmetric.
-	s.stats.Add(parallel.For(s.Workers, ny, func(shard, lo, hi int) {
-		tx := s.trigX[shard]
-		rowEx := s.colBuf[shard][:nx]
-		rowEy := s.colOut[shard][:nx]
-		for v := lo; v < hi; v++ {
-			row := v * nx
-			for u := 0; u < nx; u++ {
-				c := s.coef[row+u]
-				rowEx[u] = c * s.filEx[row+u]
-				rowEy[u] = c * s.filEy[row+u]
-			}
-			tx.SynthCosSin(nil, s.tmpA[row:row+nx], rowEx)
-			tx.SynthCosSin(s.tmpB[row:row+nx], nil, rowEy)
-		}
-	}))
-	s.columns(s.tmpA, g.Ex, synthCos)
-	s.columns(s.tmpB, g.Ey, synthSin)
+	s.run(sweep{ops: [2]op{
+		{kind: synthSin, src: s.coef, scale: s.filEx, dst: g.Ex},
+		{kind: synthCos, src: s.coef, scale: s.filEy, dst: g.Ey},
+	}})
+	s.run(sweep{cols: true, ops: [2]op{
+		{kind: synthCos, src: g.Ex, dst: g.Ex},
+		{kind: synthSin, src: g.Ey, dst: g.Ey},
+	}})
 }
 
 // Potential synthesizes the potential ψ of the last Solve into g.Psi: cosine
 // synthesis of the fil-scaled coefficients in x, then in y. Another call for
 // the same solve and grid returns at once.
 func (s *Solver) Potential(g *Grid) {
-	nx, ny := s.nx, s.ny
 	s.checkGrid(g)
 	if s.psiOf == g {
 		return
 	}
 	s.psiOf = g
-	s.stats.Add(parallel.For(s.Workers, ny, func(shard, lo, hi int) {
-		tx := s.trigX[shard]
-		rowPsi := s.colBuf[shard][:nx]
-		for v := lo; v < hi; v++ {
-			row := v * nx
-			for u := 0; u < nx; u++ {
-				rowPsi[u] = s.coef[row+u] * s.fil[row+u]
-			}
-			tx.SynthCosSin(s.tmpB[row:row+nx], nil, rowPsi)
-		}
-	}))
-	s.columns(s.tmpB, g.Psi, synthCos)
+	s.run(sweep{ops: [2]op{{kind: synthCos, src: s.coef, scale: s.fil, dst: g.Psi}}})
+	s.run(sweep{cols: true, ops: [2]op{{kind: synthCos, src: g.Psi, dst: g.Psi}}})
 }
 
-func synthCos(t *spectral.Trig, out, in []float64) { t.SynthCosSin(out, nil, in) }
-func synthSin(t *spectral.Trig, out, in []float64) { t.SynthCosSin(nil, out, in) }
+// sweep is one pass of lane transforms over every row (x direction) or
+// every column (y direction) of the grid, spectral.Lanes of them at a time,
+// applying up to two transforms to each lane group. Rows and columns are
+// addressed in place in the row-major grids, so columns need no gather or
+// scatter. Each lane group owns its output rows or columns — no reduction.
+type sweep struct {
+	cols bool
+	ops  [2]op
+}
 
-// columns applies a 1-D transform along y to every column of src, writing
-// the results to the same column of dst. Columns own their outputs.
-func (s *Solver) columns(src, dst []float64, transform func(t *spectral.Trig, out, in []float64)) {
-	nx, ny := s.nx, s.ny
-	s.stats.Add(parallel.For(s.Workers, nx, func(shard, lo, hi int) {
-		ty := s.trigY[shard]
-		col := s.colBuf[shard][:ny]
-		out := s.colOut[shard][:ny]
-		for ix := lo; ix < hi; ix++ {
-			for iy := 0; iy < ny; iy++ {
-				col[iy] = src[iy*nx+ix]
-			}
-			transform(ty, out, col)
-			for iy := 0; iy < ny; iy++ {
-				dst[iy*nx+ix] = out[iy]
+// op is one transform of a sweep from src, read as src[i]·scale[i] when
+// scale is non-nil, into dst.
+type op struct {
+	kind            opKind
+	src, scale, dst []float64
+}
+
+type opKind uint8
+
+const (
+	noOp opKind = iota
+	analyze
+	synthCos
+	synthSin
+)
+
+// run executes sw over its lane groups.
+func (s *Solver) run(sw sweep) {
+	s.sw = sw
+	count := s.ny
+	if sw.cols {
+		count = s.nx
+	}
+	s.stats.Add(parallel.For(s.Workers, (count+spectral.Lanes-1)/spectral.Lanes, s.sweepFn))
+	s.sw = sweep{} // keep no reference to the caller's grids
+}
+
+// runSweep applies s.sw to lane groups [lo, hi).
+func (s *Solver) runSweep(_, lo, hi int) {
+	p, count, laneStride, stride := s.px, s.ny, s.nx, 1 // rows
+	if s.sw.cols {
+		p, count, laneStride, stride = s.py, s.nx, 1, s.nx
+	}
+	for grp := lo; grp < hi; grp++ {
+		first := grp * spectral.Lanes
+		lanes := min(spectral.Lanes, count-first)
+		off := first * laneStride
+		for _, o := range s.sw.ops {
+			src := spectral.Vectors{Data: o.src, Scale: o.scale, Off: off, LaneStride: laneStride, Stride: stride}
+			dst := spectral.Vectors{Data: o.dst, Off: off, LaneStride: laneStride, Stride: stride}
+			switch o.kind {
+			case analyze:
+				p.AnalyzeCos(dst, src, lanes)
+			case synthCos:
+				p.SynthCosSin(dst, spectral.Vectors{}, src, lanes)
+			case synthSin:
+				p.SynthCosSin(spectral.Vectors{}, dst, src, lanes)
 			}
 		}
-	}))
+	}
 }
 
 func (s *Solver) checkGrid(g *Grid) {

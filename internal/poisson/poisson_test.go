@@ -248,9 +248,10 @@ func BenchmarkSolve256(b *testing.B) {
 
 // BenchmarkPoissonSolve is the CI bench-smoke entry point for the solver
 // (picked up by the Route|Poisson benchmark filter); it exercises the
-// placer's common 128- and 256-bin grids.
+// placer's common grids: 64 bins (every routability, service and fft
+// design), 128 and 256.
 func BenchmarkPoissonSolve(b *testing.B) {
-	for _, n := range []int{128, 256} {
+	for _, n := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
 			s := mustSolver(b, n, n)
 			rho := make([]float64, n*n)

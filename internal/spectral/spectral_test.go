@@ -2,6 +2,7 @@ package spectral
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,6 +16,15 @@ func mustFFT(tb testing.TB, n int) *FFT {
 		tb.Fatal(err)
 	}
 	return f
+}
+
+func mustPlan(tb testing.TB, n int) *Plan {
+	tb.Helper()
+	p, err := PlanFor(n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
 }
 
 func mustTrig(tb testing.TB, n int) *Trig {
@@ -177,6 +187,14 @@ func TestNewFFTRejectsNonPow2(t *testing.T) {
 	if _, err := NewTrig(12); !errors.Is(err, ErrNotPow2) {
 		t.Errorf("NewTrig(12) error = %v, want ErrNotPow2", err)
 	}
+	for _, n := range []int{12, 0, -4} {
+		if _, err := PlanFor(n); !errors.Is(err, ErrNotPow2) {
+			t.Errorf("PlanFor(%d) error = %v, want ErrNotPow2", n, err)
+		}
+	}
+	if a, b := mustPlan(t, 64), mustPlan(t, 64); a != b {
+		t.Errorf("PlanFor(64) returned two plans; one length must share one plan")
+	}
 }
 
 // naiveAnalyzeCos is the O(n^2) oracle for the DCT-II used by the solver.
@@ -283,31 +301,21 @@ func TestSynthNilOutputs(t *testing.T) {
 	tr.SynthCosSin(nil, out, F)
 }
 
-func BenchmarkFFT1024(b *testing.B) {
-	n := 1024
-	f := mustFFT(b, n)
-	re := make([]float64, n)
-	im := make([]float64, n)
-	for i := range re {
-		re[i] = float64(i % 7)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Forward(re, im)
-	}
-}
-
+// BenchmarkAnalyzeCos256 times one lane group: Lanes vectors of length 256
+// read as columns of a row-major grid.
 func BenchmarkAnalyzeCos256(b *testing.B) {
 	n := 256
-	tr := mustTrig(b, n)
-	f := make([]float64, n)
-	out := make([]float64, n)
+	p := mustPlan(b, n)
+	f := make([]float64, n*Lanes)
+	out := make([]float64, n*Lanes)
 	for i := range f {
 		f[i] = float64(i % 5)
 	}
+	src := Vectors{Data: f, LaneStride: 1, Stride: Lanes}
+	dst := Vectors{Data: out, LaneStride: 1, Stride: Lanes}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.AnalyzeCos(out, f)
+		p.AnalyzeCos(dst, src, Lanes)
 	}
 }
 
@@ -405,6 +413,185 @@ func TestTrimmedTransformsMatchPaddedFFTBitwise(t *testing.T) {
 					t.Fatalf("n=%d input %d: paired synth[%d] differs from padded FFT", n, vi, i)
 				}
 			}
+		}
+	}
+}
+
+// laneLayout places lanes vectors of length n in a slice of size elements:
+// element j of vector l at off + l·laneStride + j·stride.
+type laneLayout struct {
+	name                          string
+	off, laneStride, stride, size int
+}
+
+// laneLayouts returns the two layouts the Poisson solver uses, each inside
+// a margin that a stray index would hit: rows of a grid wider than n, and
+// columns of a grid wider than the lane group.
+func laneLayouts(n, lanes int) []laneLayout {
+	rw, cw := n+3, lanes+3
+	return []laneLayout{
+		{"rows", rw + 2, rw, 1, (lanes + 2) * rw},
+		{"columns", cw + 2, 1, cw, (n + 2) * cw},
+	}
+}
+
+// TestLaneTransformsMatchPerVector: every lane of the Plan transforms gives
+// the per-vector Trig transform of its own vector bit for bit, at every
+// length from 1 to 1024, with every test input in every lane, in full and
+// partial lane groups, laid out as rows and as columns, unscaled and
+// scaled, in place and not, with ±0, subnormal, ±Inf and NaN values; and no
+// element outside the addressed vectors is written.
+func TestLaneTransformsMatchPerVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	const sentinel = 7.25
+	for n := 1; n <= 1024; n *= 2 {
+		tr, p := mustTrig(t, n), mustPlan(t, n)
+		inputs := specialInputs(rng, n)
+		scales := specialInputs(rng, n)
+		// want[scaled][i] holds the per-vector transforms of input i.
+		type ref struct{ a, c, s []float64 }
+		var want [2][]ref
+		for scaled := range want {
+			for i, in := range inputs {
+				v := append([]float64(nil), in...)
+				if scaled == 1 {
+					for j := range v {
+						v[j] = in[j] * scales[i][j]
+					}
+				}
+				r := ref{make([]float64, n), make([]float64, n), make([]float64, n)}
+				tr.AnalyzeCos(r.a, v)
+				tr.SynthCosSin(r.c, r.s, v)
+				want[scaled] = append(want[scaled], r)
+			}
+		}
+		for _, lanes := range []int{Lanes, 1, 5} {
+			for _, ly := range laneLayouts(n, lanes) {
+				for shift := range inputs {
+					pick := func(l int) int { return (l + shift) % len(inputs) }
+					data, scale := make([]float64, ly.size), make([]float64, ly.size)
+					for i := range data {
+						data[i], scale[i] = sentinel, sentinel
+					}
+					for l := 0; l < lanes; l++ {
+						for j := 0; j < n; j++ {
+							at := ly.off + l*ly.laneStride + j*ly.stride
+							data[at], scale[at] = inputs[pick(l)][j], scales[pick(l)][j]
+						}
+					}
+					for scaled := 0; scaled < 2; scaled++ {
+						src := Vectors{Data: data, Off: ly.off, LaneStride: ly.laneStride, Stride: ly.stride}
+						if scaled == 1 {
+							src.Scale = scale
+						}
+						outA, outC, outS := make([]float64, ly.size), make([]float64, ly.size), make([]float64, ly.size)
+						for i := range outA {
+							outA[i], outC[i], outS[i] = sentinel, sentinel, sentinel
+						}
+						dst := func(d []float64) Vectors {
+							return Vectors{Data: d, Off: ly.off, LaneStride: ly.laneStride, Stride: ly.stride}
+						}
+						p.AnalyzeCos(dst(outA), src, lanes)
+						p.SynthCosSin(dst(outC), Vectors{}, src, lanes)
+						p.SynthCosSin(Vectors{}, dst(outS), src, lanes)
+						check := func(what string, got []float64, pick2 func(r ref) []float64) {
+							t.Helper()
+							seen := make([]bool, ly.size)
+							for l := 0; l < lanes; l++ {
+								w := pick2(want[scaled][pick(l)])
+								for j := 0; j < n; j++ {
+									at := ly.off + l*ly.laneStride + j*ly.stride
+									seen[at] = true
+									if !sameBits(got[at], w[j]) {
+										t.Fatalf("n=%d lanes=%d %s shift=%d scaled=%d: %s lane %d [%d] = %v (%#x), per-vector %v (%#x)",
+											n, lanes, ly.name, shift, scaled, what, l, j,
+											got[at], math.Float64bits(got[at]), w[j], math.Float64bits(w[j]))
+									}
+								}
+							}
+							for i, v := range got {
+								if !seen[i] && v != sentinel {
+									t.Fatalf("n=%d lanes=%d %s: %s wrote element %d outside its vectors", n, lanes, ly.name, what, i)
+								}
+							}
+						}
+						check("AnalyzeCos", outA, func(r ref) []float64 { return r.a })
+						check("cosine synthesis", outC, func(r ref) []float64 { return r.c })
+						check("sine synthesis", outS, func(r ref) []float64 { return r.s })
+						// Both outputs of one call, and analysis in place.
+						clear(outC)
+						clear(outS)
+						p.SynthCosSin(dst(outC), dst(outS), src, lanes)
+						for l := 0; l < lanes; l++ {
+							r := want[scaled][pick(l)]
+							for j := 0; j < n; j++ {
+								at := ly.off + l*ly.laneStride + j*ly.stride
+								if !sameBits(outC[at], r.c[j]) || !sameBits(outS[at], r.s[j]) {
+									t.Fatalf("n=%d lanes=%d %s: paired synthesis lane %d [%d] differs", n, lanes, ly.name, l, j)
+								}
+							}
+						}
+						if scaled == 0 {
+							for _, op := range []struct {
+								name string
+								run  func(v Vectors)
+								want func(r ref) []float64
+							}{
+								{"AnalyzeCos", func(v Vectors) { p.AnalyzeCos(v, v, lanes) }, func(r ref) []float64 { return r.a }},
+								{"cosine synthesis", func(v Vectors) { p.SynthCosSin(v, Vectors{}, v, lanes) }, func(r ref) []float64 { return r.c }},
+								{"sine synthesis", func(v Vectors) { p.SynthCosSin(Vectors{}, v, v, lanes) }, func(r ref) []float64 { return r.s }},
+							} {
+								inPlace := append([]float64(nil), data...)
+								op.run(dst(inPlace))
+								for l := 0; l < lanes; l++ {
+									for j := 0; j < n; j++ {
+										at := ly.off + l*ly.laneStride + j*ly.stride
+										if !sameBits(inPlace[at], op.want(want[0][pick(l)])[j]) {
+											t.Fatalf("n=%d lanes=%d %s: in-place %s lane %d [%d] differs", n, lanes, ly.name, op.name, l, j)
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlanConcurrentCalls: calls on one shared plan from several goroutines
+// borrow separate scratch and give the serial results.
+func TestPlanConcurrentCalls(t *testing.T) {
+	const n = 64
+	p := mustPlan(t, n)
+	rng := rand.New(rand.NewSource(31))
+	in := make([]float64, n*Lanes)
+	for i := range in {
+		in[i] = rng.NormFloat64()
+	}
+	vec := func(d []float64) Vectors { return Vectors{Data: d, LaneStride: 1, Stride: Lanes} }
+	want := make([]float64, n*Lanes)
+	p.AnalyzeCos(vec(want), vec(in), Lanes)
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		go func() {
+			out := make([]float64, n*Lanes)
+			for k := 0; k < 50; k++ {
+				p.AnalyzeCos(vec(out), vec(in), Lanes)
+				for i := range out {
+					if !sameBits(out[i], want[i]) {
+						errs <- fmt.Sprintf("element %d differs", i)
+						return
+					}
+				}
+			}
+			errs <- ""
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		if e := <-errs; e != "" {
+			t.Error(e)
 		}
 	}
 }

@@ -256,7 +256,14 @@ func Sparkline(vals []float64, width int) string {
 	for _, v := range col {
 		k := n / 2
 		if mx > mn {
-			k = int((v - mn) / (mx - mn) * float64(n))
+			// Halving keeps the span finite for any finite values (it
+			// rounds exactly as the unhalved form would); a NaN level,
+			// from a column mean that overflowed, draws the lowest one.
+			f := (v/2 - mn/2) / (mx/2 - mn/2) * float64(n)
+			k = 0
+			if f >= 0 {
+				k = min(int(f), n)
+			}
 		}
 		sb.WriteByte(sparkLevels[k])
 	}

@@ -11,7 +11,7 @@ import (
 // emitTrace runs a small instrumented workload and returns its raw trace.
 // Real wall-clock timestamps are fine: everything the report and diff
 // layers treat as deterministic is independent of them.
-func emitTrace(t *testing.T, iters int, hpwlStep float64) []byte {
+func emitTrace(t testing.TB, iters int, hpwlStep float64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	o := telemetry.NewObserver(&buf)
@@ -136,6 +136,13 @@ func TestSparkline(t *testing.T) {
 	}
 	if got := Sparkline(long, 60); len(got) != 60 {
 		t.Errorf("downsampled width %d, want 60", len(got))
+	}
+	// A span that overflows float64, and a column mean that does.
+	if got := Sparkline([]float64{-1.7e308, 1.7e308}, 10); got != " @" {
+		t.Errorf("extreme series sparkline = %q, want %q", got, " @")
+	}
+	if got := Sparkline([]float64{1.7e308, 1.7e308, 0, 0}, 2); len(got) != 2 {
+		t.Errorf("overflowing mean sparkline = %q", got)
 	}
 }
 

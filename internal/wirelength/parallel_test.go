@@ -202,3 +202,58 @@ func TestGatherMatchesScatterReference(t *testing.T) {
 		}
 	}
 }
+
+// TestNetPassReadsMovedCells: the net pass takes pin positions from its
+// slot-ordered pin table and the design's current cell positions, so a
+// model built once gives the d.PinPos reference's WA total and gradient bit
+// for bit after cells move between two calls — pins with nonzero offsets,
+// a cell with several pins on one net and ±0 coordinates included.
+func TestNetPassReadsMovedCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	b := netlist.NewBuilder("moves", geom.NewRect(0, 0, 1000, 1000), 8, 1)
+	const cells = 120
+	for i := 0; i < cells; i++ {
+		b.AddCell("c", netlist.StdCell, rng.Float64()*1000, rng.Float64()*1000, 2, 8)
+	}
+	for e := 0; e < 200; e++ {
+		n := b.AddNet("n", float64(1+e%2))
+		for k := 0; k < 2+rng.Intn(5); k++ {
+			b.Connect(rng.Intn(cells), n, float64(rng.Intn(5))-2, float64(rng.Intn(3))-1)
+		}
+	}
+	dup := b.AddNet("dup", 1)
+	b.Connect(5, dup, -1, 0)
+	b.Connect(6, dup, 0, 0)
+	b.Connect(5, dup, 1, 0)
+	d := b.MustBuild()
+
+	start := d.SnapshotPositions()
+	for _, w := range []int{1, 2, 16} {
+		d.RestorePositions(start)
+		m := New(d, 4.0)
+		m.Workers = w
+		for call := 0; call < 3; call++ {
+			if call > 0 {
+				for i := range d.Cells {
+					if i%4 == call || i == 5 {
+						d.Cells[i].X += rng.NormFloat64() * 30
+						d.Cells[i].Y -= rng.NormFloat64() * 30
+					}
+				}
+				d.Cells[6].X, d.Cells[6].Y = math.Copysign(0, -1), 0
+			}
+			ref := make([]float64, 2*len(d.Cells))
+			refWA := scatterReference(d, 4.0, ref)
+			grad := make([]float64, 2*len(d.Cells))
+			wa := m.EvaluateWithGrad(grad)
+			if math.Float64bits(wa) != math.Float64bits(refWA) {
+				t.Fatalf("workers=%d call %d: WA %v != d.PinPos reference %v (bitwise)", w, call, wa, refWA)
+			}
+			for i := range grad {
+				if math.Float64bits(grad[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("workers=%d call %d: grad[%d] = %v, reference %v (bitwise)", w, call, i, grad[i], ref[i])
+				}
+			}
+		}
+	}
+}

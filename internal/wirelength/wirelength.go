@@ -33,6 +33,13 @@ type Model struct {
 	netStart []int32
 	slot     []float64
 
+	// The pins in slot order, built once by New: slot s's pin sits on cell
+	// pinCell[s] at offset (pinOff[2·s], pinOff[2·s+1]). The net pass reads
+	// the cell positions from the design on every call, since the placer
+	// moves cells between calls.
+	pinCell []int32
+	pinOff  []float64
+
 	// Per-cell gather, built once by New. Cell c's slots, in ascending slot
 	// (= net, then pin) order, are split into runs by the shard of their
 	// net: run r covers gatherSlot[runEnd[r-1]:runEnd[r]], and cell c owns
@@ -60,7 +67,17 @@ func New(d *netlist.Design, gamma float64) *Model {
 		maxDeg = max(maxDeg, deg)
 		m.netStart[e+1] = m.netStart[e] + int32(deg)
 	}
-	m.slot = make([]float64, 2*m.netStart[len(d.Nets)])
+	nSlots := m.netStart[len(d.Nets)]
+	m.slot = make([]float64, 2*nSlots)
+	m.pinCell = make([]int32, nSlots)
+	m.pinOff = make([]float64, 2*nSlots)
+	for e := range d.Nets {
+		for k, pi := range d.Nets[e].Pins {
+			s, pin := m.netStart[e]+int32(k), &d.Pins[pi]
+			m.pinCell[s] = int32(pin.Cell)
+			m.pinOff[2*s], m.pinOff[2*s+1] = pin.OffX, pin.OffY
+		}
+	}
 	for s := 0; s < parallel.NumShards; s++ {
 		m.shardX[s] = make([]float64, maxDeg)
 		m.shardY[s] = make([]float64, maxDeg)
@@ -172,23 +189,24 @@ func (m *Model) EvaluateWithGrad(grad []float64) float64 {
 		ep, en := m.shardEp[shard], m.shardEn[shard]
 		var total float64
 		for e := lo; e < hi; e++ {
-			net := &d.Nets[e]
-			n := len(net.Pins)
+			s0, s1 := int(m.netStart[e]), int(m.netStart[e+1])
+			n := s1 - s0
 			if n < 2 {
 				continue
 			}
-			w := net.Weight
+			w := d.Nets[e].Weight
 			if w == 0 {
 				w = 1
 			}
-			for k, pi := range net.Pins {
-				p := d.PinPos(pi)
-				xs[k], ys[k] = p.X, p.Y
+			// The position sums of d.PinPos, from the slot-ordered pin table.
+			off := m.pinOff[2*s0 : 2*s1]
+			for k, c := range m.pinCell[s0:s1] {
+				cell := &d.Cells[c]
+				xs[k], ys[k] = cell.X+off[2*k], cell.Y+off[2*k+1]
 			}
 			var sg []float64
 			if grad != nil {
-				s0 := 2 * int(m.netStart[e])
-				sg = m.slot[s0 : s0+2*n]
+				sg = m.slot[2*s0 : 2*s1]
 			}
 			total += w * m.axisWA(xs[:n], ep, en, sg, w, 0)
 			total += w * m.axisWA(ys[:n], ep, en, sg, w, 1)
