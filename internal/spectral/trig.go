@@ -28,7 +28,8 @@ const Lanes = 16
 // A Plan is shared by every user of its length (PlanFor) and is safe for
 // concurrent use: its tables are read-only, and each call borrows lane
 // scratch from the plan's pool, which holds as many sets as calls have
-// ever run at once.
+// ever run at once. A call writes every scratch value it reads, so which
+// set it borrows never changes a result.
 type Plan struct {
 	n      int
 	load   []int32   // load[m]: the input sample at bit-reversed position 2m of the length-2n FFT
