@@ -444,13 +444,14 @@ func laneLayouts(n, lanes int) []laneLayout {
 func TestLaneTransformsMatchPerVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	const sentinel = 7.25
+	const analysis, cosine, sine = 0, 1, 2
 	for n := 1; n <= 1024; n *= 2 {
 		tr, p := mustTrig(t, n), mustPlan(t, n)
 		inputs := specialInputs(rng, n)
 		scales := specialInputs(rng, n)
-		// want[scaled][i] holds the per-vector transforms of input i.
-		type ref struct{ a, c, s []float64 }
-		var want [2][]ref
+		// want[scaled][i] holds the per-vector analysis, cosine and sine
+		// synthesis of input i.
+		var want [2][][3][]float64
 		for scaled := range want {
 			for i, in := range inputs {
 				v := append([]float64(nil), in...)
@@ -459,20 +460,27 @@ func TestLaneTransformsMatchPerVector(t *testing.T) {
 						v[j] = in[j] * scales[i][j]
 					}
 				}
-				r := ref{make([]float64, n), make([]float64, n), make([]float64, n)}
-				tr.AnalyzeCos(r.a, v)
-				tr.SynthCosSin(r.c, r.s, v)
+				r := [3][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+				tr.AnalyzeCos(r[analysis], v)
+				tr.SynthCosSin(r[cosine], r[sine], v)
 				want[scaled] = append(want[scaled], r)
 			}
 		}
 		for _, lanes := range []int{Lanes, 1, 5} {
 			for _, ly := range laneLayouts(n, lanes) {
+				blank := func() []float64 {
+					v := make([]float64, ly.size)
+					for i := range v {
+						v[i] = sentinel
+					}
+					return v
+				}
+				vec := func(d []float64) Vectors {
+					return Vectors{Data: d, Off: ly.off, LaneStride: ly.laneStride, Stride: ly.stride}
+				}
 				for shift := range inputs {
 					pick := func(l int) int { return (l + shift) % len(inputs) }
-					data, scale := make([]float64, ly.size), make([]float64, ly.size)
-					for i := range data {
-						data[i], scale[i] = sentinel, sentinel
-					}
+					data, scale := blank(), blank()
 					for l := 0; l < lanes; l++ {
 						for j := 0; j < n; j++ {
 							at := ly.off + l*ly.laneStride + j*ly.stride
@@ -480,25 +488,13 @@ func TestLaneTransformsMatchPerVector(t *testing.T) {
 						}
 					}
 					for scaled := 0; scaled < 2; scaled++ {
-						src := Vectors{Data: data, Off: ly.off, LaneStride: ly.laneStride, Stride: ly.stride}
-						if scaled == 1 {
-							src.Scale = scale
-						}
-						outA, outC, outS := make([]float64, ly.size), make([]float64, ly.size), make([]float64, ly.size)
-						for i := range outA {
-							outA[i], outC[i], outS[i] = sentinel, sentinel, sentinel
-						}
-						dst := func(d []float64) Vectors {
-							return Vectors{Data: d, Off: ly.off, LaneStride: ly.laneStride, Stride: ly.stride}
-						}
-						p.AnalyzeCos(dst(outA), src, lanes)
-						p.SynthCosSin(dst(outC), Vectors{}, src, lanes)
-						p.SynthCosSin(Vectors{}, dst(outS), src, lanes)
-						check := func(what string, got []float64, pick2 func(r ref) []float64) {
+						// expect checks every lane of got against transform k of
+						// its input, and that nothing else was written.
+						expect := func(what string, got []float64, k int) {
 							t.Helper()
 							seen := make([]bool, ly.size)
 							for l := 0; l < lanes; l++ {
-								w := pick2(want[scaled][pick(l)])
+								w := want[scaled][pick(l)][k]
 								for j := 0; j < n; j++ {
 									at := ly.off + l*ly.laneStride + j*ly.stride
 									seen[at] = true
@@ -515,43 +511,29 @@ func TestLaneTransformsMatchPerVector(t *testing.T) {
 								}
 							}
 						}
-						check("AnalyzeCos", outA, func(r ref) []float64 { return r.a })
-						check("cosine synthesis", outC, func(r ref) []float64 { return r.c })
-						check("sine synthesis", outS, func(r ref) []float64 { return r.s })
-						// Both outputs of one call, and analysis in place.
-						clear(outC)
-						clear(outS)
-						p.SynthCosSin(dst(outC), dst(outS), src, lanes)
-						for l := 0; l < lanes; l++ {
-							r := want[scaled][pick(l)]
-							for j := 0; j < n; j++ {
-								at := ly.off + l*ly.laneStride + j*ly.stride
-								if !sameBits(outC[at], r.c[j]) || !sameBits(outS[at], r.s[j]) {
-									t.Fatalf("n=%d lanes=%d %s: paired synthesis lane %d [%d] differs", n, lanes, ly.name, l, j)
-								}
-							}
+						src := vec(data)
+						if scaled == 1 {
+							src.Scale = scale
 						}
+						a, c, s := blank(), blank(), blank()
+						p.AnalyzeCos(vec(a), src, lanes)
+						p.SynthCosSin(vec(c), Vectors{}, src, lanes)
+						p.SynthCosSin(Vectors{}, vec(s), src, lanes)
+						expect("AnalyzeCos", a, analysis)
+						expect("cosine synthesis", c, cosine)
+						expect("sine synthesis", s, sine)
+						c, s = blank(), blank()
+						p.SynthCosSin(vec(c), vec(s), src, lanes)
+						expect("paired cosine synthesis", c, cosine)
+						expect("paired sine synthesis", s, sine)
 						if scaled == 0 {
-							for _, op := range []struct {
-								name string
-								run  func(v Vectors)
-								want func(r ref) []float64
-							}{
-								{"AnalyzeCos", func(v Vectors) { p.AnalyzeCos(v, v, lanes) }, func(r ref) []float64 { return r.a }},
-								{"cosine synthesis", func(v Vectors) { p.SynthCosSin(v, Vectors{}, v, lanes) }, func(r ref) []float64 { return r.c }},
-								{"sine synthesis", func(v Vectors) { p.SynthCosSin(Vectors{}, v, v, lanes) }, func(r ref) []float64 { return r.s }},
-							} {
-								inPlace := append([]float64(nil), data...)
-								op.run(dst(inPlace))
-								for l := 0; l < lanes; l++ {
-									for j := 0; j < n; j++ {
-										at := ly.off + l*ly.laneStride + j*ly.stride
-										if !sameBits(inPlace[at], op.want(want[0][pick(l)])[j]) {
-											t.Fatalf("n=%d lanes=%d %s: in-place %s lane %d [%d] differs", n, lanes, ly.name, op.name, l, j)
-										}
-									}
-								}
-							}
+							a, c, s = append([]float64(nil), data...), append([]float64(nil), data...), append([]float64(nil), data...)
+							p.AnalyzeCos(vec(a), vec(a), lanes)
+							p.SynthCosSin(vec(c), Vectors{}, vec(c), lanes)
+							p.SynthCosSin(Vectors{}, vec(s), vec(s), lanes)
+							expect("in-place AnalyzeCos", a, analysis)
+							expect("in-place cosine synthesis", c, cosine)
+							expect("in-place sine synthesis", s, sine)
 						}
 					}
 				}
