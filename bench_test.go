@@ -417,26 +417,6 @@ func BenchmarkParallelPoisson(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelRoute measures the batched pattern router (parallel
-// candidate choice, serial commit) at several worker counts.
-func BenchmarkParallelRoute(b *testing.B) {
-	d, err := synth.Generate("superblue11_a")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := route.NewGrid(d, core.DefaultGridHint(len(d.Cells)))
-	for _, w := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			r := route.NewRouter(d, g)
-			r.Workers = w
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Route()
-			}
-		})
-	}
-}
-
 // BenchmarkAblationVirtualCell compares Eq. 8's max-congestion virtual-cell
 // rule against the midpoint variant (ablation A3).
 func BenchmarkAblationVirtualCell(b *testing.B) {

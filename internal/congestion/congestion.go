@@ -54,6 +54,7 @@ type Model struct {
 
 	stdArea float64 // virtual cell area: the average movable cell footprint
 	avgPins float64 // n̄ of Algorithm 2
+	movable int     // N of Eq. 10: the movable cell count
 
 	res *route.Result // last routing result fed to Update
 
@@ -68,6 +69,12 @@ type Model struct {
 	term []geom.Point
 	has  []bool
 	virt []virtualCell
+	// The two pins of every two-pin net, built once by New: pin k of net e
+	// sits on cell pinCell[2e+k] at offset (pinOff[4e+2k], pinOff[4e+2k+1]).
+	// Algorithm 1 reads the cell positions from the design on every call,
+	// since the placer moves cells between calls.
+	pinCell []int32
+	pinOff  []float64
 	// Per-cell gather, built once by New: cell c applies the entries
 	// order[orderStart[c]:orderStart[c+1]], each an Algorithm 1 slot or
 	// alg2, in the serial assembly's order.
@@ -112,17 +119,27 @@ func New(d *netlist.Design, g *route.Grid) *Model {
 	m.term = make([]geom.Point, 2*len(d.Nets))
 	m.has = make([]bool, len(d.Nets))
 	m.virt = make([]virtualCell, len(d.Nets))
+	m.pinCell = make([]int32, 2*len(d.Nets))
+	m.pinOff = make([]float64, 4*len(d.Nets))
+	for e := range d.Nets {
+		if net := &d.Nets[e]; net.Degree() == 2 {
+			for k, pi := range net.Pins {
+				pin := &d.Pins[pi]
+				m.pinCell[2*e+k] = int32(pin.Cell)
+				m.pinOff[4*e+2*k], m.pinOff[4*e+2*k+1] = pin.OffX, pin.OffY
+			}
+		}
+	}
 	m.buildGather()
 	var area float64
-	var n int
 	for i := range d.Cells {
 		if d.Cells[i].Movable() {
 			area += d.Cells[i].Area()
-			n++
+			m.movable++
 		}
 	}
-	if n > 0 {
-		m.stdArea = area / float64(n)
+	if m.movable > 0 {
+		m.stdArea = area / float64(m.movable)
 	} else {
 		m.stdArea = d.RowHeight * d.SiteWidth
 	}
@@ -315,8 +332,8 @@ func (m *Model) Gradients(grad []float64) Stats {
 	var st Stats
 	parallel.For(m.Workers, len(m.d.Nets), func(_, lo, hi int) {
 		for e := lo; e < hi; e++ {
-			if net := &m.d.Nets[e]; net.Degree() == 2 {
-				m.twoPinGradient(e, net)
+			if m.d.Nets[e].Degree() == 2 {
+				m.twoPinGradient(e)
 			}
 		}
 	})
@@ -390,13 +407,15 @@ func (m *Model) gather(grad []float64, lo, hi int) (hits, congested int) {
 	return hits, congested
 }
 
-// twoPinGradient is Algorithm 1 for net e: create the virtual cell,
-// project its field force on the segment normal, and lever it onto the two
-// cells. It writes the net's virtual cell and its two term slots.
-func (m *Model) twoPinGradient(e int, net *netlist.Net) {
+// twoPinGradient is Algorithm 1 for two-pin net e: create the virtual
+// cell, project its field force on the segment normal, and lever it onto
+// the two cells. It writes the net's virtual cell and its two term slots.
+func (m *Model) twoPinGradient(e int) {
 	m.has[e] = false
-	p1 := m.d.PinPos(net.Pins[0])
-	p2 := m.d.PinPos(net.Pins[1])
+	c1, c2 := &m.d.Cells[m.pinCell[2*e]], &m.d.Cells[m.pinCell[2*e+1]]
+	off := m.pinOff[4*e : 4*e+4]
+	p1 := geom.Point{X: c1.X + off[0], Y: c1.Y + off[1]}
+	p2 := geom.Point{X: c2.X + off[2], Y: c2.Y + off[3]}
 	v, ok := m.VirtualCell(p1, p2)
 	m.virt[e] = virtualCell{pos: v, ok: ok}
 	if !ok {
@@ -457,14 +476,8 @@ func (m *Model) Penalty() float64 {
 // wlGradL1 is ‖∇W‖₁ over movable cells; st is the Stats from the matching
 // Gradients call. A zero congestion gradient yields λ₂ = 0 (nothing to push).
 func (m *Model) Lambda2(wlGradL1 float64, st Stats) float64 {
-	n := 0
-	for ci := range m.d.Cells {
-		if m.d.Cells[ci].Movable() {
-			n++
-		}
-	}
-	if n == 0 || st.GradL1 == 0 {
+	if m.movable == 0 || st.GradL1 == 0 {
 		return 0
 	}
-	return (2 * float64(st.CongestedCell) / float64(n)) * (wlGradL1 / st.GradL1)
+	return (2 * float64(st.CongestedCell) / float64(m.movable)) * (wlGradL1 / st.GradL1)
 }

@@ -144,6 +144,18 @@ func TestGradientsMatchSerialReference(t *testing.T) {
 	hm := New(hot, hg)
 	hm.Update(route.NewRouter(hot, hg).Route())
 	_, mixed := mixedSetup(t)
+	// A model whose cells move after New: the pin table must read the
+	// current positions, as PinPos does.
+	moved := synth.MustGenerate("tiny_hot")
+	mm := New(moved, hg)
+	mm.Update(route.NewRouter(moved, hg).Route())
+	for i := range moved.Cells {
+		if c := &moved.Cells[i]; c.Movable() {
+			c.X += 3 * math.Sin(float64(i))
+			c.Y += 3 * math.Cos(float64(i))
+		}
+	}
+	moved.ClampToDie()
 
 	poison := func(m *Model) {
 		for i := range m.field.Ex {
@@ -165,6 +177,7 @@ func TestGradientsMatchSerialReference(t *testing.T) {
 		poison bool
 	}{
 		{"tiny_hot", hm, false},
+		{"tiny_hot/moved", mm, false},
 		{"mixed", mixed, false},
 		{"mixed/poisoned", mixed, true},
 	} {
@@ -183,7 +196,7 @@ func TestGradientsMatchSerialReference(t *testing.T) {
 						start[i] = math.Copysign(0, -1)
 					}
 				}
-				compareGradients(t, m, start, tc.poison, tc.name != "tiny_hot")
+				compareGradients(t, m, start, tc.poison, m == mixed)
 			}
 		})
 	}

@@ -141,15 +141,14 @@ type PlacementState struct {
 
 	// Core runtime, built by buildRuntime (deterministically — independent
 	// of current movable positions, which restore overwrites afterwards).
-	dens      *density.Model
-	wl        *wirelength.Model
-	grid      *route.Grid
-	cong      *congestion.Model
-	obj       *objective
-	optm      *nesterov.Optimizer
-	rtr       *route.Router // constructed once, Reset per route iteration
-	gamma0    float64
-	costStats parallel.Timing // router cost-field build timing
+	dens   *density.Model
+	wl     *wirelength.Model
+	grid   *route.Grid
+	cong   *congestion.Model
+	obj    *objective
+	optm   *nesterov.Optimizer
+	rtr    *route.Router // constructed once, Reset per route iteration
+	gamma0 float64
 
 	// Position-delta feed for the router's incremental decomposition: the
 	// cell positions as of the previous route call and the per-cell moved
@@ -462,7 +461,6 @@ func (ps *PlacementState) finishTelemetry() {
 		}
 		obs.VolatileGauge("parallel.poisson.speedup").Set(pstats.Speedup())
 	}
-	obs.VolatileGauge("parallel.route.costfield").Set(ps.costStats.Speedup())
 	res.StageTimings = obs.Tracer.StageTimings()
 }
 
@@ -763,7 +761,6 @@ func (ps *PlacementState) routabilityLoop(ctx context.Context, p2 *telemetry.Spa
 		ps.rtr = route.NewRouter(d, ps.grid)
 	}
 	ps.rtr.Trace = ps.tr
-	ps.rtr.Workers = opt.Workers
 	ps.rtr.CacheHits = obs.Counter("route.decompose_cache_hits")
 	ps.rtr.DirtyNets = obs.Counter("route.dirty_nets")
 
@@ -944,7 +941,6 @@ func (ps *PlacementState) routabilityLoop(ctx context.Context, p2 *telemetry.Spa
 	}
 	d.ClampToDie()
 	ps.dens.ClampFillers()
-	ps.costStats.Add(ps.rtr.CostFieldStats())
 	return nil
 }
 
@@ -1048,7 +1044,7 @@ func (evalStage) Run(ctx context.Context, ps *PlacementState) error {
 	opt, res := &ps.Opt, ps.Res
 	rStart := time.Now()
 	esp := ps.startSpan("eval")
-	m, err := eval.EvaluateContext(ctx, ps.D, opt.GridHint, ps.tr, opt.Workers)
+	m, err := eval.EvaluateContext(ctx, ps.D, opt.GridHint, ps.tr)
 	if err != nil {
 		esp.End()
 		return err

@@ -73,16 +73,14 @@ type Metrics struct {
 // Evaluate routes the design at high effort and derives the metrics. The
 // gridHint chooses the G-cell resolution (power-of-two rounded).
 func Evaluate(d *netlist.Design, gridHint int) Metrics {
-	return EvaluateTraced(d, gridHint, nil, 0)
+	return EvaluateTraced(d, gridHint, nil)
 }
 
-// EvaluateTraced is Evaluate with telemetry and a worker cap: the
-// high-effort routing and the scoring pass are recorded as child spans of
-// the caller's current span (a nil tracer disables tracing), and workers
-// bounds the router's parallel choice phase (0 selects
-// runtime.GOMAXPROCS(0); results are byte-identical for any setting).
-func EvaluateTraced(d *netlist.Design, gridHint int, tr *telemetry.Tracer, workers int) Metrics {
-	m, _ := EvaluateContext(context.Background(), d, gridHint, tr, workers)
+// EvaluateTraced is Evaluate with telemetry: the high-effort routing and the
+// scoring pass are recorded as child spans of the caller's current span (a
+// nil tracer disables tracing).
+func EvaluateTraced(d *netlist.Design, gridHint int, tr *telemetry.Tracer) Metrics {
+	m, _ := EvaluateContext(context.Background(), d, gridHint, tr)
 	return m
 }
 
@@ -90,12 +88,11 @@ func EvaluateTraced(d *netlist.Design, gridHint int, tr *telemetry.Tracer, worke
 // embedded high-effort routing aborts between rounds and batches, and the
 // zero Metrics plus ctx.Err() are returned. Evaluation never mutates the
 // design, so an aborted call has no side effects.
-func EvaluateContext(ctx context.Context, d *netlist.Design, gridHint int, tr *telemetry.Tracer, workers int) (Metrics, error) {
+func EvaluateContext(ctx context.Context, d *netlist.Design, gridHint int, tr *telemetry.Tracer) (Metrics, error) {
 	g := route.NewGrid(d, gridHint)
 	r := route.NewRouter(d, g)
 	r.Rounds = 4 // detailed-routing effort
 	r.Trace = tr
-	r.Workers = workers
 	res, err := r.RouteContext(ctx)
 	if err != nil {
 		return Metrics{}, err

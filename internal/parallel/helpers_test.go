@@ -150,3 +150,27 @@ func TestHelpersRetireWhenIdle(t *testing.T) {
 		t.Errorf("%d helpers still alive", maxHelpers-helpers.slots.Load())
 	}
 }
+
+// TestHelperParkAllocatesNothing: a helper parks with the timer it made
+// when it started, so a cycle of one For at 2 workers and a pause long
+// enough for the helper to park allocates only the call record and its
+// wake channel. A park that allocated would also show in the allocation
+// counts of serial callers in the same process, such as the zero-alloc
+// tests of the kernels.
+func TestHelperParkAllocatesNothing(t *testing.T) {
+	const callAllocs = 2 // the call record and its wake channel
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var sink atomic.Int64
+	fn := func(_, lo, hi int) { sink.Add(int64(hi - lo)) }
+	cycle := func() {
+		For(2, 64, fn)
+		time.Sleep(50 * spinWindow)
+	}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		cycle() // a helper exists and has parked once
+		if got := testing.AllocsPerRun(20, cycle); got > callAllocs {
+			t.Errorf("GOMAXPROCS=%d: a For-and-park cycle allocates %v times, want %d", procs, got, callAllocs)
+		}
+	}
+}

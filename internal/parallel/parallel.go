@@ -273,18 +273,22 @@ func take(v *atomic.Int32) bool {
 }
 
 // helper is the body of a helper goroutine: a turn on c, then one on every
-// call whose ticket it receives, until it retires.
+// call whose ticket it receives, until it retires. Its idle timer is made
+// once, so a park allocates nothing.
 func helper(c *call) {
+	idle := time.NewTimer(idleTimeout)
+	idle.Stop()
 	for c != nil {
 		c.help()
-		c = nextTicket()
+		c = nextTicket(idle)
 	}
 }
 
 // nextTicket waits for a ticket, or returns nil once the helper has been
 // idle for idleTimeout and has retired. At most GOMAXPROCS−1 helpers spin
-// at a time, so spinning never takes the processor a caller runs on.
-func nextTicket() *call {
+// at a time, so spinning never takes the processor a caller runs on. idle
+// is the helper's stopped, drained timer; nextTicket leaves it so.
+func nextTicket(idle *time.Timer) *call {
 	helpers.idle.Add(1)
 	if int(helpers.spinners.Add(1)) < runtime.GOMAXPROCS(0) {
 		t0 := time.Now()
@@ -301,12 +305,19 @@ func nextTicket() *call {
 		}
 	}
 	helpers.spinners.Add(-1)
-	timer := time.NewTimer(idleTimeout)
-	defer timer.Stop()
+	idle.Reset(idleTimeout)
 	select {
 	case c := <-helpers.tickets:
+		if !idle.Stop() {
+			// It fired while the ticket arrived: drain it, or the next
+			// park would wake at once.
+			select {
+			case <-idle.C:
+			default:
+			}
+		}
 		return c
-	case <-timer.C:
+	case <-idle.C:
 	}
 	if !take(&helpers.idle) {
 		// Every waiting helper has a ticket reserved; one is this one's.

@@ -3,7 +3,7 @@ package route
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/netlist"
 )
@@ -26,7 +26,9 @@ import (
 // list (order preserved), fresh segments of dirty nets are sorted by the
 // same key, and a single merge pass restores the total order. The result is
 // byte-identical to a full decomposition followed by the stable sort
-// (proven by TestIncrementalMatchesFullDecomposition).
+// (proven by TestIncrementalMatchesFullDecomposition). Fresh segments are
+// appended in (net, emit) order, so a stable counting sort on lenEst alone
+// puts them in key order.
 
 // sseg is a segment in the router's sorted working list together with its
 // canonical sort key components (lenEst lives in the embedded segment).
@@ -60,8 +62,11 @@ type decompCache struct {
 	netSegs [][]segment // per-net cached two-pin segments (reused capacity)
 
 	sorted []sseg // all segments ordered by (lenEst, net, emit)
-	merge  []sseg // double buffer for the filter+merge pass
-	fresh  []sseg // this call's re-decomposed segments, sorted by key
+	fresh  []sseg // this call's re-decomposed segments, in (net, emit) order
+	keyed  []sseg // fresh in key order, for the merge pass
+	// lenCount is the counting sort's histogram, one slot per possible
+	// lenEst (0 .. NX+NY−2) plus one.
+	lenCount []int32
 
 	dirty     []bool  // per-net flag for the merge pass's filter
 	dirtyList []int32 // nets flagged dirty, to clear the flags afterwards
@@ -78,14 +83,36 @@ type decompCache struct {
 	dist, parent []int
 }
 
-func (dc *decompCache) ensureInit(numPins, numNets, numGCells int) {
+func (dc *decompCache) ensureInit(numPins, numNets int, g *Grid) {
 	if dc.pinCell != nil {
 		return
 	}
 	dc.pinCell = make([]int32, numPins)
 	dc.netSegs = make([][]segment, numNets)
 	dc.dirty = make([]bool, numNets)
-	dc.seenEpoch = make([]int64, numGCells)
+	dc.seenEpoch = make([]int64, g.NX*g.NY)
+	dc.lenCount = make([]int32, g.NX+g.NY)
+}
+
+// sortByKey returns src in (lenEst, net, emit) order, written over dst's
+// storage (grown as needed). src must be in (net, emit) order, so a stable
+// counting sort on lenEst suffices.
+func (dc *decompCache) sortByKey(dst, src []sseg) []sseg {
+	cnt := dc.lenCount
+	clear(cnt)
+	for i := range src {
+		cnt[src[i].lenEst+1]++
+	}
+	for l := 1; l < len(cnt); l++ {
+		cnt[l] += cnt[l-1]
+	}
+	dst = slices.Grow(dst[:0], len(src))[:len(src)]
+	for i := range src {
+		l := src[i].lenEst
+		dst[cnt[l]] = src[i]
+		cnt[l]++
+	}
+	return dst
 }
 
 // updateDecomposition brings the cache in sync with the current pin
@@ -94,7 +121,7 @@ func (dc *decompCache) ensureInit(numPins, numNets, numGCells int) {
 // net is dirty and the path degenerates to a full decomposition + sort.
 func (r *Router) updateDecomposition() {
 	dc := &r.dc
-	dc.ensureInit(len(r.d.Pins), len(r.d.Nets), r.g.NX*r.g.NY)
+	dc.ensureInit(len(r.d.Pins), len(r.d.Nets), r.g)
 	full := !dc.valid
 	moved := r.moved
 	r.moved = nil // the hint describes exactly one position delta
@@ -139,28 +166,30 @@ func (r *Router) updateDecomposition() {
 	if dirtyN == 0 {
 		return
 	}
-	sort.Slice(dc.fresh, func(i, j int) bool { return ssegLess(&dc.fresh[i], &dc.fresh[j]) })
 	if full {
-		dc.sorted = append(dc.sorted[:0], dc.fresh...)
+		dc.sorted = dc.sortByKey(dc.sorted, dc.fresh)
 	} else {
+		dc.keyed = dc.sortByKey(dc.keyed, dc.fresh)
 		// Filter the previous sorted list down to clean nets (an
 		// order-preserving subsequence) while merging the fresh sorted runs
-		// in by the canonical key.
-		dst := dc.merge[:0]
+		// in by the canonical key. The result goes to fresh's storage (keyed
+		// now holds its content), and the old sorted list's storage becomes
+		// the next call's fresh.
+		dst := dc.fresh[:0]
 		fi := 0
 		for i := range dc.sorted {
 			s := &dc.sorted[i]
 			if dc.dirty[s.net] {
 				continue
 			}
-			for fi < len(dc.fresh) && ssegLess(&dc.fresh[fi], s) {
-				dst = append(dst, dc.fresh[fi])
+			for fi < len(dc.keyed) && ssegLess(&dc.keyed[fi], s) {
+				dst = append(dst, dc.keyed[fi])
 				fi++
 			}
 			dst = append(dst, *s)
 		}
-		dst = append(dst, dc.fresh[fi:]...)
-		dc.sorted, dc.merge = dst, dc.sorted
+		dst = append(dst, dc.keyed[fi:]...)
+		dc.sorted, dc.fresh = dst, dc.sorted
 	}
 	for _, e := range dc.dirtyList {
 		dc.dirty[e] = false
@@ -304,7 +333,7 @@ func (r *Router) RestoreDecomposition(sig []int32) error {
 		}
 	}
 	dc := &r.dc
-	dc.ensureInit(len(r.d.Pins), len(r.d.Nets), r.g.NX*r.g.NY)
+	dc.ensureInit(len(r.d.Pins), len(r.d.Nets), r.g)
 	copy(dc.pinCell, sig)
 	dc.fresh = dc.fresh[:0]
 	for e := range r.d.Nets {
@@ -316,8 +345,7 @@ func (r *Router) RestoreDecomposition(sig []int32) error {
 			dc.fresh = append(dc.fresh, sseg{dc.netSegs[e][k], int32(e), int32(k)})
 		}
 	}
-	sort.Slice(dc.fresh, func(i, j int) bool { return ssegLess(&dc.fresh[i], &dc.fresh[j]) })
-	dc.sorted = append(dc.sorted[:0], dc.fresh...)
+	dc.sorted = dc.sortByKey(dc.sorted, dc.fresh)
 	dc.valid = true
 	return nil
 }

@@ -5,9 +5,51 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/parallel"
 	"repro/internal/synth"
 )
+
+// naiveRunCost sums cellCost over an inclusive horizontal or vertical run
+// in O(length), left to right: the reference the prefix-sum field is held
+// to.
+func naiveRunCost(r *Router, x1, y1, x2, y2 int) float64 {
+	var c float64
+	if y1 == y2 {
+		if x2 < x1 {
+			x1, x2 = x2, x1
+		}
+		for x := x1; x <= x2; x++ {
+			c += r.cellCost(y1*r.g.NX + x)
+		}
+	} else {
+		if y2 < y1 {
+			y1, y2 = y2, y1
+		}
+		for y := y1; y <= y2; y++ {
+			c += r.cellCost(y*r.g.NX + x1)
+		}
+	}
+	return c
+}
+
+// fieldRunCost prices a run from the router's cost field the way the
+// pattern pricing does: horizontal when the rows agree, else vertical.
+func fieldRunCost(r *Router, x1, y1, x2, y2 int) float64 {
+	if y1 == y2 {
+		return r.cf.hRun(y1, x1, x2)
+	}
+	return r.cf.vRun(x1, y1, y2)
+}
+
+// randomDemand fills the router's demand and history maps with random
+// values.
+func randomDemand(r *Router, rng *rand.Rand) {
+	for i := range r.dmdH {
+		r.dmdH[i] = rng.Float64() * 30
+		r.dmdV[i] = rng.Float64() * 30
+		r.dmdVia[i] = rng.Float64() * 5
+		r.hist[i] = rng.Float64() * 2
+	}
+}
 
 // TestCostFieldMatchesNaiveRunCost: the prefix-sum run costs must agree with
 // the naive cellCost-summing reference on randomized demand grids. The two
@@ -19,12 +61,7 @@ func TestCostFieldMatchesNaiveRunCost(t *testing.T) {
 	r := NewRouter(d, g)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
-		for i := range r.dmdH {
-			r.dmdH[i] = rng.Float64() * 30
-			r.dmdV[i] = rng.Float64() * 30
-			r.dmdVia[i] = rng.Float64() * 5
-			r.hist[i] = rng.Float64() * 2
-		}
+		randomDemand(r, rng)
 		r.buildCostField()
 		for run := 0; run < 2000; run++ {
 			x1, y1 := rng.Intn(g.NX), rng.Intn(g.NY)
@@ -34,8 +71,8 @@ func TestCostFieldMatchesNaiveRunCost(t *testing.T) {
 			} else {
 				x2, y2 = x1, rng.Intn(g.NY) // vertical
 			}
-			naive := r.runCost(x1, y1, x2, y2)
-			fast := r.cf.runCost(x1, y1, x2, y2)
+			naive := naiveRunCost(r, x1, y1, x2, y2)
+			fast := fieldRunCost(r, x1, y1, x2, y2)
 			if tol := 1e-9 * (1 + math.Abs(naive)); math.Abs(naive-fast) > tol {
 				t.Fatalf("trial %d run (%d,%d)-(%d,%d): prefix-sum cost %v, naive %v (diff %v > tol %v)",
 					trial, x1, y1, x2, y2, fast, naive, math.Abs(naive-fast), tol)
@@ -44,36 +81,107 @@ func TestCostFieldMatchesNaiveRunCost(t *testing.T) {
 	}
 }
 
-// TestCostFieldIdenticalAcrossWorkers: the build is disjoint-row/column
-// parallel, so the tables must be bitwise identical at any worker count.
-func TestCostFieldIdenticalAcrossWorkers(t *testing.T) {
+// refField is the two-pass cost field the one-pass build replaced: a
+// row-major pass writes cost and the row prefix, then a column-major pass
+// accumulates colPS[x*(ny+1)+y] = Σ_{k<y} cost[k*nx+x].
+type refField struct {
+	nx, ny             int
+	cost, rowPS, colPS []float64
+}
+
+func buildRefField(r *Router) *refField {
+	nx, ny := r.g.NX, r.g.NY
+	f := &refField{nx: nx, ny: ny, cost: make([]float64, nx*ny),
+		rowPS: make([]float64, ny*(nx+1)), colPS: make([]float64, nx*(ny+1))}
+	for y := 0; y < ny; y++ {
+		row, base := y*nx, y*(nx+1)
+		s := 0.0
+		f.rowPS[base] = 0
+		for x := 0; x < nx; x++ {
+			c := r.cellCost(row + x)
+			f.cost[row+x] = c
+			s += c
+			f.rowPS[base+x+1] = s
+		}
+	}
+	for x := 0; x < nx; x++ {
+		base := x * (ny + 1)
+		s := 0.0
+		f.colPS[base] = 0
+		for y := 0; y < ny; y++ {
+			s += f.cost[y*nx+x]
+			f.colPS[base+y+1] = s
+		}
+	}
+	return f
+}
+
+func (f *refField) runCost(x1, y1, x2, y2 int) float64 {
+	if y1 == y2 {
+		if x2 < x1 {
+			x1, x2 = x2, x1
+		}
+		base := y1 * (f.nx + 1)
+		return f.rowPS[base+x2+1] - f.rowPS[base+x1]
+	}
+	if y2 < y1 {
+		y1, y2 = y2, y1
+	}
+	base := x1 * (f.ny + 1)
+	return f.colPS[base+y2+1] - f.colPS[base+y1]
+}
+
+// TestCostFieldMatchesTwoPassBitwise holds the one-pass build to the
+// two-pass reference: every snapshot cost, every row and column prefix and
+// every run cost must be bitwise equal, on random demand with zero-capacity
+// G-cells (hard-overflow pricing) and on rebuilds over a reused field.
+func TestCostFieldMatchesTwoPassBitwise(t *testing.T) {
 	d := synth.MustGenerate("tiny_hot")
 	g := NewGrid(d, 32)
-	build := func(workers int) *Router {
-		r := NewRouter(d, g)
-		r.Workers = workers
-		rng := rand.New(rand.NewSource(11))
-		for i := range r.dmdH {
-			r.dmdH[i] = rng.Float64() * 40
-			r.dmdV[i] = rng.Float64() * 40
-			r.hist[i] = rng.Float64()
-		}
-		// Force the parallel path regardless of grid size.
-		r.cfStats.Add(parallel.For(workers, r.cf.ny, r.cfRows))
-		r.cfStats.Add(parallel.For(workers, r.cf.nx, r.cfCols))
-		return r
-	}
-	ref := build(1)
-	for _, w := range []int{2, 16, 0} {
-		got := build(w)
-		for i := range ref.cf.rowPS {
-			if math.Float64bits(got.cf.rowPS[i]) != math.Float64bits(ref.cf.rowPS[i]) {
-				t.Fatalf("workers=%d: rowPS[%d] differs bitwise from serial", w, i)
+	for l := range g.Cap {
+		for y := 3; y < 9; y++ {
+			for x := 20; x < 25; x++ {
+				g.Cap[l][y*g.NX+x] = 0
 			}
 		}
-		for i := range ref.cf.colPS {
-			if math.Float64bits(got.cf.colPS[i]) != math.Float64bits(ref.cf.colPS[i]) {
-				t.Fatalf("workers=%d: colPS[%d] differs bitwise from serial", w, i)
+	}
+	r := NewRouter(d, g)
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 4; trial++ {
+		randomDemand(r, rng)
+		if trial == 3 {
+			clear(r.dmdH) // exact zeros: a cost of exactly 1 + history
+		}
+		r.buildCostField()
+		ref := buildRefField(r)
+		nx, ny := g.NX, g.NY
+		for i := range ref.cost {
+			if math.Float64bits(r.cf.cost[i]) != math.Float64bits(ref.cost[i]) {
+				t.Fatalf("trial %d: cost[%d] %v, two-pass %v", trial, i, r.cf.cost[i], ref.cost[i])
+			}
+		}
+		for i := range ref.rowPS {
+			if math.Float64bits(r.cf.rowPS[i]) != math.Float64bits(ref.rowPS[i]) {
+				t.Fatalf("trial %d: rowPS[%d] %v, two-pass %v", trial, i, r.cf.rowPS[i], ref.rowPS[i])
+			}
+		}
+		for x := 0; x < nx; x++ {
+			for y := 0; y <= ny; y++ {
+				got, want := r.cf.colPS[y*nx+x], ref.colPS[x*(ny+1)+y]
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d: column prefix (%d,%d) %v, two-pass %v", trial, x, y, got, want)
+				}
+			}
+		}
+		for run := 0; run < 4000; run++ {
+			x1, y1 := rng.Intn(nx), rng.Intn(ny)
+			x2, y2 := rng.Intn(nx), y1
+			if rng.Intn(2) == 0 {
+				x2, y2 = x1, rng.Intn(ny)
+			}
+			got, want := fieldRunCost(r, x1, y1, x2, y2), ref.runCost(x1, y1, x2, y2)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d run (%d,%d)-(%d,%d): %v, two-pass %v", trial, x1, y1, x2, y2, got, want)
 			}
 		}
 	}
@@ -128,13 +236,11 @@ func TestZeroCapacityCellSafe(t *testing.T) {
 
 // TestRouteSteadyStateZeroAlloc: after warm-up, a repeated route call on
 // unchanged positions allocates nothing — the decomposition cache, cost
-// field, scratch and Result are all reused (Workers=1 keeps the shard layer
-// from spawning goroutines, which is the documented serial path).
+// field, scratch and Result are all reused.
 func TestRouteSteadyStateZeroAlloc(t *testing.T) {
 	d := synth.MustGenerate("tiny_hot")
 	g := NewGrid(d, 32)
 	r := NewRouter(d, g)
-	r.Workers = 1
 	r.Route()
 	r.Route()
 	if allocs := testing.AllocsPerRun(5, func() { r.Route() }); allocs != 0 {
@@ -153,6 +259,7 @@ func BenchmarkRoute(b *testing.B) {
 	}{
 		{"tiny_hot32", "tiny_hot", 32},
 		{"fft1_64", "fft_1", 64},
+		{"superblue11a_128", "superblue11_a", 128},
 	} {
 		d := synth.MustGenerate(tc.design)
 		g := NewGrid(d, tc.hint)
@@ -164,7 +271,6 @@ func BenchmarkRoute(b *testing.B) {
 		})
 		b.Run(tc.name+"/steady", func(b *testing.B) {
 			r := NewRouter(d, g)
-			r.Workers = 1
 			r.Route()
 			b.ReportAllocs()
 			b.ResetTimer()

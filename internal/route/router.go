@@ -5,16 +5,13 @@ import (
 	"math"
 
 	"repro/internal/netlist"
-	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
 // chooseBatch is the number of segments whose candidate selection runs
-// against one frozen demand snapshot. It is a constant — never derived from
-// the worker count — so the batch boundaries, and therefore every routing
-// decision, are identical for any Workers setting. The choice of a full
-// batch costs 35–60 µs at one worker on the bench designs (2-vCPU x86-64
-// host), less than handing it to a second core costs, so it runs serially.
+// against one frozen demand snapshot. It is a constant, so the batch
+// boundaries, and therefore every routing decision, depend only on the
+// segment count.
 const chooseBatch = 256
 
 // Fixed pattern-routing knobs.
@@ -26,16 +23,15 @@ const (
 
 // Router performs congestion-aware pattern global routing of a design on a
 // Grid. It decomposes each net into two-pin segments with a Prim MST,
-// enumerates L- and Z-shape candidates per segment, picks the cheapest under
-// a congestion + history cost, and repeats for a few rip-up-and-reroute
-// rounds. It is deterministic for a fixed design and placement.
+// prices the straight, L- and Z-shape patterns of each segment, picks the
+// cheapest under a congestion + history cost, and repeats for a few
+// rip-up-and-reroute rounds. It is deterministic for a fixed design and
+// placement.
 //
-// Segments are routed in fixed-size batches: the candidate choice of every
-// segment in a batch reads a frozen demand snapshot, then the chosen
-// patterns are committed in segment order. The per-batch cost fields are
-// built over the internal/parallel shard layer on large grids. Batch
-// boundaries depend only on the segment count, so results are
-// byte-identical for every worker count.
+// Segments are routed in fixed-size batches: every segment in a batch is
+// priced against one frozen cost field, and the chosen patterns are
+// committed in segment order. Batch boundaries depend only on the segment
+// count, and the router runs serially on the calling goroutine.
 //
 // The router is built to be called repeatedly on the same design (the
 // routability loop routes once per iteration): net decomposition is cached
@@ -43,9 +39,9 @@ const (
 // (costfield.go), and the steady state allocates nothing — all scratch,
 // including the returned Result, is router-owned and reused.
 type Router struct {
-	// Workers caps the goroutines used by the cost-field builds; 0 selects
-	// runtime.GOMAXPROCS(0), 1 runs fully serial. Any setting produces
-	// byte-identical routes.
+	// Workers is ignored: every route call runs serially (DESIGN.md §8
+	// records the measurements that retired the parallel cost-field build).
+	// The field remains so that callers which set it keep compiling.
 	Workers int
 
 	d *netlist.Design
@@ -61,8 +57,8 @@ type Router struct {
 	// CacheHits and DirtyNets count, per decomposition pass, the nets served
 	// from the incremental cache and the nets re-decomposed. Nil-safe: a
 	// router without telemetry leaves them nil. The counts are deterministic
-	// (independent of workers and of the SetMovedCells hint), so they live
-	// in the canonical trace.
+	// (independent of the SetMovedCells hint), so they live in the
+	// canonical trace.
 	CacheHits *telemetry.Counter
 	DirtyNets *telemetry.Counter
 
@@ -73,33 +69,24 @@ type Router struct {
 	capTot []float64 // cached total capacity per G-cell
 	hl, vl []int     // cached DirLayers results (assembleResult is hot)
 
-	choices []int32         // per-batch chosen candidate index
-	cfStats parallel.Timing // accumulated cost of the cost-field builds
-
 	cf    costField
 	dc    decompCache
 	moved []bool  // position-delta hint for the next route call (consumed)
 	res   *Result // reused result; see Route for the ownership contract
-
-	// Hot-loop worker functions, bound once at construction so the per-batch
-	// parallel.For calls allocate no closures.
-	cfRows func(shard, lo, hi int)
-	cfCols func(shard, lo, hi int)
 }
 
 // NewRouter creates a router with the default knobs.
 func NewRouter(d *netlist.Design, g *Grid) *Router {
 	n := g.NX * g.NY
 	r := &Router{
-		d:       d,
-		g:       g,
-		Rounds:  2,
-		hist:    make([]float64, n),
-		dmdH:    make([]float64, n),
-		dmdV:    make([]float64, n),
-		dmdVia:  make([]float64, n),
-		capTot:  make([]float64, n),
-		choices: make([]int32, chooseBatch),
+		d:      d,
+		g:      g,
+		Rounds: 2,
+		hist:   make([]float64, n),
+		dmdH:   make([]float64, n),
+		dmdV:   make([]float64, n),
+		dmdVia: make([]float64, n),
+		capTot: make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		r.capTot[i] = g.CapTotal(i)
@@ -107,39 +94,8 @@ func NewRouter(d *netlist.Design, g *Grid) *Router {
 	r.hl = g.DirLayers(Horizontal)
 	r.vl = g.DirLayers(Vertical)
 	r.cf.init(g.NX, g.NY)
-	r.cfRows = func(_, lo, hi int) {
-		nx := r.cf.nx
-		for y := lo; y < hi; y++ {
-			row := y * nx
-			base := y * (nx + 1)
-			s := 0.0
-			r.cf.rowPS[base] = 0
-			for x := 0; x < nx; x++ {
-				c := r.cellCost(row + x)
-				r.cf.cost[row+x] = c
-				s += c
-				r.cf.rowPS[base+x+1] = s
-			}
-		}
-	}
-	r.cfCols = func(_, lo, hi int) {
-		nx, ny := r.cf.nx, r.cf.ny
-		for x := lo; x < hi; x++ {
-			base := x * (ny + 1)
-			s := 0.0
-			r.cf.colPS[base] = 0
-			for y := 0; y < ny; y++ {
-				s += r.cf.cost[y*nx+x]
-				r.cf.colPS[base+y+1] = s
-			}
-		}
-	}
 	return r
 }
-
-// CostFieldStats returns the accumulated wall/busy time of the prefix-sum
-// cost-field builds (telemetry: the parallel.route.costfield gauge).
-func (r *Router) CostFieldStats() parallel.Timing { return r.cfStats }
 
 // SetMovedCells hands the router a conservative position-delta hint for the
 // NEXT route call: a cell not flagged true must not have changed position
@@ -157,9 +113,8 @@ func (r *Router) SetMovedCells(moved []bool) { r.moved = moved }
 // calls it on entry, so one Router can be reused across the route
 // iterations of a placement run (the routability loop constructs a single
 // Router and routes it once per iteration) with results byte-identical to
-// constructing a new Router each time. The accumulated Stats timing is
-// deliberately kept (cumulative, wall-clock-only telemetry), and so is the
-// decomposition cache — it depends only on pin positions, which Reset does
+// constructing a new Router each time. The decomposition cache is
+// deliberately kept — it depends only on pin positions, which Reset does
 // not touch.
 func (r *Router) Reset() {
 	for i := range r.hist {
@@ -225,21 +180,15 @@ func (r *Router) RouteContext(ctx context.Context) (*Result, error) {
 				rsp.End()
 				return nil, err
 			}
-			hi := lo + chooseBatch
-			if hi > len(segs) {
-				hi = len(segs)
-			}
-			batch := segs[lo:hi]
 			// The batch's frozen demand snapshot, as O(1) prefix sums.
+			// Pricing reads only the field and committing writes only the
+			// demand maps, so each segment is committed as soon as it is
+			// priced.
 			r.buildCostField()
-			// Choice phase: every segment in the batch reads the same
-			// frozen cost field.
+			batch := segs[lo:min(lo+chooseBatch, len(segs))]
 			for i := range batch {
-				r.choices[i] = int32(r.chooseSegment(batch[i].segment))
-			}
-			// Commit phase, in segment order.
-			for i := range batch {
-				dw, dv := r.commitSegment(batch[i].segment, int(r.choices[i]))
+				s := &batch[i].segment
+				dw, dv := r.commitSegment(s, r.chooseSegment(s))
 				wl += dw
 				vias += dv
 			}
@@ -302,169 +251,172 @@ func (r *Router) cellCost(i int) float64 {
 	return c
 }
 
-// runCost sums cellCost over an inclusive horizontal or vertical run — the
-// naive O(length) reference the cross-check test holds the prefix-sum cost
-// field to.
-func (r *Router) runCost(x1, y1, x2, y2 int) float64 {
-	var c float64
-	if y1 == y2 {
-		if x2 < x1 {
-			x1, x2 = x2, x1
-		}
-		for x := x1; x <= x2; x++ {
-			c += r.cellCost(y1*r.g.NX + x)
-		}
-	} else {
-		if y2 < y1 {
-			y1, y2 = y2, y1
-		}
-		for y := y1; y <= y2; y++ {
-			c += r.cellCost(y*r.g.NX + x1)
-		}
+// pattern names the candidate a segment is routed on. Aligned endpoints
+// have the straight run only. Otherwise the candidates, in pricing order,
+// are the two L-shapes and then, for each Z sample k = 1..zSamples, the
+// horizontal-vertical-horizontal Z through column x1+zOffset(k, dx) and the
+// vertical-horizontal-vertical Z through row y1+zOffset(k, dy); a Z whose
+// middle leg would lie on an endpoint's column or row is skipped.
+type pattern uint8
+
+const (
+	patStraight pattern = iota
+	patLH               // horizontal first, bend at (x2, y1)
+	patLV               // vertical first, bend at (x1, y2)
+	patZH               // patZH+k−1: horizontal-vertical-horizontal Z, sample k
+)
+
+// patZV+k−1 is the vertical-horizontal-vertical Z at sample k.
+const patZV = patZH + zSamples
+
+// zOffset is math.Round(k·d/(zSamples+1)) in integers (halves round away
+// from zero): the offset of Z sample k along a span of d G-cells.
+func zOffset(k, d int) int {
+	const q = zSamples + 1
+	n := k * d
+	if n < 0 {
+		return -((-n + q/2) / q)
 	}
-	return c
+	return (n + q/2) / q
 }
 
-// addRun commits wire demand along an inclusive run.
-func (r *Router) addRun(x1, y1, x2, y2 int) {
-	if y1 == y2 {
-		if x2 < x1 {
-			x1, x2 = x2, x1
-		}
-		for x := x1; x <= x2; x++ {
-			r.dmdH[y1*r.g.NX+x]++
-		}
-	} else {
-		if y2 < y1 {
-			y1, y2 = y2, y1
-		}
-		for y := y1; y <= y2; y++ {
-			r.dmdV[y*r.g.NX+x1]++
-		}
+// chooseSegment prices the candidate patterns of s against the batch's
+// frozen cost field, in pattern order, and returns the cheapest; a strict <
+// keeps the first of equal costs. A candidate's cost is 0 plus each of its
+// runs, then per bend the bend cell's cost is subtracted (two runs visit
+// it) and 2·viaDemand added. The caller must have built the cost field
+// against the current demand state (RouteContext does, at the top of every
+// batch).
+func (r *Router) chooseSegment(s *segment) pattern {
+	x1, y1, x2, y2 := s.x1, s.y1, s.x2, s.y2
+	if y1 == y2 || x1 == x2 {
+		return patStraight
 	}
-}
-
-// candidate describes one pattern: up to three runs and its bend G-cells.
-type candidate struct {
-	runs  [3][4]int // x1,y1,x2,y2; unused runs have negative x1
-	nRuns int
-	bends [2]int // bend cell indices; -1 when absent
-	nBend int
-}
-
-func (r *Router) addCandidateRun(c *candidate, x1, y1, x2, y2 int) {
-	c.runs[c.nRuns] = [4]int{x1, y1, x2, y2}
-	c.nRuns++
-}
-
-func (r *Router) addBend(c *candidate, x, y int) {
-	c.bends[c.nBend] = y*r.g.NX + x
-	c.nBend++
-}
-
-// enumerate generates the candidate patterns for a segment: straight runs
-// for aligned endpoints, both L-shapes, and zSamples Z-shapes per family.
-func (r *Router) enumerate(s segment, out []candidate) []candidate {
-	out = out[:0]
-	if s.y1 == s.y2 || s.x1 == s.x2 {
-		var c candidate
-		r.addCandidateRun(&c, s.x1, s.y1, s.x2, s.y2)
-		return append(out, c)
+	f := &r.cf
+	nx := f.nx
+	best, bestCost := patLH, math.Inf(1)
+	c := 0.0
+	c += f.hRun(y1, x1, x2)
+	c += f.vRun(x2, y1, y2)
+	c -= f.cost[y1*nx+x2]
+	c += 2 * viaDemand
+	if c < bestCost {
+		best, bestCost = patLH, c
 	}
-	// L-shapes.
-	{
-		var c candidate
-		r.addCandidateRun(&c, s.x1, s.y1, s.x2, s.y1) // horizontal first
-		r.addCandidateRun(&c, s.x2, s.y1, s.x2, s.y2)
-		r.addBend(&c, s.x2, s.y1)
-		out = append(out, c)
+	c = 0.0
+	c += f.vRun(x1, y1, y2)
+	c += f.hRun(y2, x1, x2)
+	c -= f.cost[y2*nx+x1]
+	c += 2 * viaDemand
+	if c < bestCost {
+		best, bestCost = patLV, c
 	}
-	{
-		var c candidate
-		r.addCandidateRun(&c, s.x1, s.y1, s.x1, s.y2) // vertical first
-		r.addCandidateRun(&c, s.x1, s.y2, s.x2, s.y2)
-		r.addBend(&c, s.x1, s.y2)
-		out = append(out, c)
-	}
-	// Z-shapes: horizontal-vertical-horizontal with intermediate column xm,
-	// and vertical-horizontal-vertical with intermediate row ym.
-	dx := s.x2 - s.x1
-	dy := s.y2 - s.y1
+	dx, dy := x2-x1, y2-y1
 	for k := 1; k <= zSamples; k++ {
-		frac := float64(k) / float64(zSamples+1)
-		xm := s.x1 + int(math.Round(frac*float64(dx)))
-		if xm != s.x1 && xm != s.x2 {
-			var c candidate
-			r.addCandidateRun(&c, s.x1, s.y1, xm, s.y1)
-			r.addCandidateRun(&c, xm, s.y1, xm, s.y2)
-			r.addCandidateRun(&c, xm, s.y2, s.x2, s.y2)
-			r.addBend(&c, xm, s.y1)
-			r.addBend(&c, xm, s.y2)
-			out = append(out, c)
+		if xm := x1 + zOffset(k, dx); xm != x1 && xm != x2 {
+			c = 0.0
+			c += f.hRun(y1, x1, xm)
+			c += f.vRun(xm, y1, y2)
+			c += f.hRun(y2, xm, x2)
+			c -= f.cost[y1*nx+xm]
+			c += 2 * viaDemand
+			c -= f.cost[y2*nx+xm]
+			c += 2 * viaDemand
+			if c < bestCost {
+				best, bestCost = patZH+pattern(k-1), c
+			}
 		}
-		ym := s.y1 + int(math.Round(frac*float64(dy)))
-		if ym != s.y1 && ym != s.y2 {
-			var c candidate
-			r.addCandidateRun(&c, s.x1, s.y1, s.x1, ym)
-			r.addCandidateRun(&c, s.x1, ym, s.x2, ym)
-			r.addCandidateRun(&c, s.x2, ym, s.x2, s.y2)
-			r.addBend(&c, s.x1, ym)
-			r.addBend(&c, s.x2, ym)
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// chooseSegment picks the cheapest candidate for s against the batch's
-// frozen cost field without modifying anything. It returns the candidate
-// index for
-// commitSegment. The caller must have built the cost field against the
-// current demand state (RouteContext does, at the top of every batch).
-func (r *Router) chooseSegment(s segment) int {
-	var buf [2 + 2*zSamples]candidate
-	cands := r.enumerate(s, buf[:0])
-	bestIdx, bestCost := 0, math.Inf(1)
-	for i := range cands {
-		c := &cands[i]
-		cost := 0.0
-		for k := 0; k < c.nRuns; k++ {
-			run := c.runs[k]
-			cost += r.cf.runCost(run[0], run[1], run[2], run[3])
-		}
-		// Bend cells are visited by two runs; subtract the double count and
-		// charge the via instead. The snapshot cost keeps bends and runs on
-		// the identical frozen values.
-		for k := 0; k < c.nBend; k++ {
-			cost -= r.cf.cost[c.bends[k]]
-			cost += 2 * viaDemand
-		}
-		if cost < bestCost {
-			bestCost = cost
-			bestIdx = i
+		if ym := y1 + zOffset(k, dy); ym != y1 && ym != y2 {
+			c = 0.0
+			c += f.vRun(x1, y1, ym)
+			c += f.hRun(ym, x1, x2)
+			c += f.vRun(x2, ym, y2)
+			c -= f.cost[ym*nx+x1]
+			c += 2 * viaDemand
+			c -= f.cost[ym*nx+x2]
+			c += 2 * viaDemand
+			if c < bestCost {
+				best, bestCost = patZV+pattern(k-1), c
+			}
 		}
 	}
-	return bestIdx
+	return best
 }
 
-// commitSegment re-enumerates s, commits the demand of the chosen candidate,
-// and returns the routed wirelength in DBU and the via count added. The
-// demand increments are exact in float64, so the committed maps carry no
-// rounding dependence on the commit grouping.
-func (r *Router) commitSegment(s segment, choice int) (float64, int) {
-	var buf [2 + 2*zSamples]candidate
-	cands := r.enumerate(s, buf[:0])
-	best := &cands[choice]
+// commitSegment commits the demand of pattern p of s — its runs in order,
+// then its bend vias — and returns the routed wirelength in DBU and the
+// via count added. The demand increments are exact in float64, so the
+// committed maps carry no rounding dependence on the commit grouping.
+func (r *Router) commitSegment(s *segment, p pattern) (float64, int) {
+	x1, y1, x2, y2 := s.x1, s.y1, s.x2, s.y2
+	nx := r.g.NX
 	var wl float64
-	for k := 0; k < best.nRuns; k++ {
-		run := best.runs[k]
-		r.addRun(run[0], run[1], run[2], run[3])
-		wl += float64(abs(run[2]-run[0]))*r.g.CellW + float64(abs(run[3]-run[1]))*r.g.CellH
+	switch {
+	case p == patStraight:
+		if y1 == y2 {
+			wl += r.hCommit(y1, x1, x2)
+		} else {
+			wl += r.vCommit(x1, y1, y2)
+		}
+		return wl, 0
+	case p == patLH:
+		wl += r.hCommit(y1, x1, x2)
+		wl += r.vCommit(x2, y1, y2)
+		r.dmdVia[y1*nx+x2] += viaDemand
+		return wl, 1
+	case p == patLV:
+		wl += r.vCommit(x1, y1, y2)
+		wl += r.hCommit(y2, x1, x2)
+		r.dmdVia[y2*nx+x1] += viaDemand
+		return wl, 1
+	case p < patZV:
+		xm := x1 + zOffset(int(p-patZH)+1, x2-x1)
+		wl += r.hCommit(y1, x1, xm)
+		wl += r.vCommit(xm, y1, y2)
+		wl += r.hCommit(y2, xm, x2)
+		r.dmdVia[y1*nx+xm] += viaDemand
+		r.dmdVia[y2*nx+xm] += viaDemand
+		return wl, 2
+	default:
+		ym := y1 + zOffset(int(p-patZV)+1, y2-y1)
+		wl += r.vCommit(x1, y1, ym)
+		wl += r.hCommit(ym, x1, x2)
+		wl += r.vCommit(x2, ym, y2)
+		r.dmdVia[ym*nx+x1] += viaDemand
+		r.dmdVia[ym*nx+x2] += viaDemand
+		return wl, 2
 	}
-	for k := 0; k < best.nBend; k++ {
-		r.dmdVia[best.bends[k]] += viaDemand
+}
+
+// hCommit adds one track of horizontal demand along the inclusive run
+// (xa..xb, y) and returns the run's wirelength in DBU.
+func (r *Router) hCommit(y, xa, xb int) float64 {
+	if xb < xa {
+		xa, xb = xb, xa
 	}
-	return wl, best.nBend
+	row := r.dmdH[y*r.g.NX+xa : y*r.g.NX+xb+1]
+	for i := range row {
+		row[i]++
+	}
+	return r.runWL(xb-xa, 0)
+}
+
+// vCommit adds one track of vertical demand along the inclusive run
+// (x, ya..yb) and returns the run's wirelength in DBU.
+func (r *Router) vCommit(x, ya, yb int) float64 {
+	if yb < ya {
+		ya, yb = yb, ya
+	}
+	nx := r.g.NX
+	for i, end := ya*nx+x, yb*nx+x; i <= end; i += nx {
+		r.dmdV[i]++
+	}
+	return r.runWL(0, yb-ya)
+}
+
+// runWL is the wirelength of a run spanning dx columns and dy rows.
+func (r *Router) runWL(dx, dy int) float64 {
+	return float64(dx)*r.g.CellW + float64(dy)*r.g.CellH
 }
 
 // assembleResult converts the router's current 2-D demand into a full Result.

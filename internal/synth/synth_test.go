@@ -259,7 +259,7 @@ func TestBigDesignDeterministicHash(t *testing.T) {
 	if s.NumMovable != 100_000 {
 		t.Fatalf("superblue1_big has %d movable cells, want 100000", s.NumMovable)
 	}
-	const golden = 0x75996f2b1264d178
+	const golden uint64 = 0x75996f2b1264d178
 	got := hashDesign(d)
 	if got != golden {
 		t.Fatalf("superblue1_big digest %#x, want %#x", got, golden)
