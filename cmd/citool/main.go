@@ -2,9 +2,6 @@
 // python3 for, so the workflow needs nothing beyond the repo's own Go
 // toolchain:
 //
-//	citool flip-byte <file>   flip one bit of the file's middle byte in
-//	                          place (corrupts a checkpoint for the
-//	                          resume-smoke fallback leg)
 //	citool png-magic <file>   verify the file starts with the 8-byte PNG
 //	                          signature (dashboard-smoke heatmap check)
 //	citool kill9 <pid>        SIGKILL the process — the chaos-server smoke
@@ -29,7 +26,7 @@ func main() {
 
 func run(args []string) int {
 	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: citool flip-byte|png-magic <file> | kill9 <pid>")
+		fmt.Fprintln(os.Stderr, "usage: citool png-magic <file> | kill9 <pid>")
 		return 2
 	}
 	cmd, path := args[0], args[1]
@@ -45,23 +42,6 @@ func run(args []string) int {
 			return 1
 		}
 		fmt.Printf("killed pid %d\n", pid)
-		return 0
-	case "flip-byte":
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "citool: %v\n", err)
-			return 1
-		}
-		if len(data) == 0 {
-			fmt.Fprintf(os.Stderr, "citool: %s is empty\n", path)
-			return 1
-		}
-		data[len(data)/2] ^= 0x01
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "citool: %v\n", err)
-			return 1
-		}
-		fmt.Printf("flipped byte %d of %s\n", len(data)/2, path)
 		return 0
 	case "png-magic":
 		magic := []byte{0x89, 'P', 'N', 'G', '\r', '\n', 0x1a, '\n'}

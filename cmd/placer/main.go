@@ -50,9 +50,6 @@
 //	-wliters n         cap phase-1 wirelength iterations (0 = default 400);
 //	                   with -riters, bounds the per-level work on the
 //	                   *_big designs (see README "Scaling to 1M cells")
-//	-ml-warm-start     with -levels ≥ 2, start each finer level's phase 1
-//	                   from the coarse level's converged state (λ₁ growth
-//	                   and density overflow) instead of from scratch
 //
 // Robustness flags:
 //
@@ -127,7 +124,6 @@ func run() (code int) {
 	outPath := flag.String("out", "", "write the final placement to this file (designio format)")
 	guardFlag := flag.String("guard", "", "numeric guardrail policy: off | warn | recover | fail")
 	guardRetries := flag.Int("guard-retries", 0, "divergence-recovery retry budget for -guard recover (0 = default)")
-	mlWarm := flag.Bool("ml-warm-start", false, "warm-start λ₁/γ at finer multilevel levels from the coarse level's converged state (requires -levels ≥ 2)")
 	serveAddr := flag.String("serve", "", "serve the live HTML dashboard at this address (e.g. localhost:8080)")
 	flag.Parse()
 
@@ -155,7 +151,7 @@ func run() (code int) {
 		return 1
 	}
 	opt := core.Options{GridHint: *grid, MaxRouteIters: *riters, MaxWLIters: *wliters, Workers: *workers,
-		Levels: *levels, ClusterMaxSize: *clusterMax, MLWarmStart: *mlWarm,
+		Levels: *levels, ClusterMaxSize: *clusterMax,
 		Tech:           core.Techniques{MCI: *mci, DC: *dc, DPA: *dpa},
 		CheckpointPath: *ckptPath, CheckpointAfter: *ckptAfter,
 		Guard: guard.Config{Policy: guardPolicy, MaxRetries: *guardRetries}}

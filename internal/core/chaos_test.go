@@ -20,8 +20,8 @@ import (
 
 // The chaos suite: deterministic fault injection against the guard layer.
 // Every test here is driven by a seed-fixed inject.Registry, so a failure
-// reproduces exactly — rerun the one test, no flakes to chase. CI runs the
-// whole suite under -race via `go test -race -run TestChaos ./internal/core`.
+// reproduces exactly — rerun the one test, no flakes to chase. check.sh
+// (CI's check job) runs the whole suite under -race with `go test -race ./...`.
 
 // chaosOpts is fastOpts plus a guard configuration and an armed injector.
 func chaosOpts(pol guard.Policy, inj *inject.Registry) Options {

@@ -5,13 +5,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/guard"
+	"repro/internal/guard/inject"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
@@ -63,30 +67,101 @@ func TestValidateCheckpointOpts(t *testing.T) {
 // checkpoint file path and the (un-flushed) trace of the first half.
 func checkpointAt(t *testing.T, design, point string, obs *telemetry.Observer) string {
 	t.Helper()
-	ckPath := filepath.Join(t.TempDir(), "run.ckpt")
-	d := synth.MustGenerate(design)
 	opt := fastOpts(ModeOurs)
-	opt.Workers = 1
 	opt.Observer = obs
+	return checkpointWith(t, design, point, opt)
+}
+
+// checkpointWith runs the design under opt at one worker until the
+// scheduled checkpoint at point, and returns the checkpoint file path.
+func checkpointWith(t *testing.T, design, point string, opt Options) string {
+	t.Helper()
+	ckPath := filepath.Join(t.TempDir(), "run.ckpt")
+	opt.Workers = 1
 	opt.CheckpointPath = ckPath
 	opt.CheckpointAfter = point
-	_, err := Place(d, opt)
+	_, err := Place(synth.MustGenerate(design), opt)
 	if !errors.Is(err, ErrCheckpointed) {
 		t.Fatalf("Place with CheckpointAfter=%q returned %v, want ErrCheckpointed", point, err)
 	}
 	return ckPath
 }
 
-// TestCheckpointRoundTrip: parse a real mid-loop checkpoint (GP state, loop
-// state, congestion state, telemetry — every section populated) and write it
-// back; the serialization must be byte-identical.
+// TestCheckpointRoundTrip: parse real checkpoints and write them back; the
+// serialization must be byte-identical. Between them the cases write every
+// optional record: a mid-loop checkpoint (GP, loop, congestion and
+// telemetry sections all populated), the guard record, the multilevel
+// record, and a baseline-mode loop whose infl record has no infl.dr or
+// infl.cprev beside "cong 0". The committed seed, which an earlier build
+// wrote, must rewrite byte-identically too.
 func TestCheckpointRoundTrip(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full placement run; skipped in -short")
+		t.Skip("full placement runs; skipped in -short")
 	}
-	var trace bytes.Buffer
-	ckPath := checkpointAt(t, "tiny_hot", "route_iter:1", telemetry.NewObserver(&trace))
-	raw, err := os.ReadFile(ckPath)
+	guarded := fastOpts(ModeOurs)
+	guarded.Guard = guard.Config{Policy: guard.Recover}
+	for _, tc := range []struct {
+		name, design, point string
+		opt                 Options
+		has, lacks          []string // record prefixes the file must (not) carry
+	}{
+		{"mid-loop", "tiny_hot", "route_iter:1", fastOpts(ModeOurs),
+			[]string{"gp ", "loop ", "vec infl.dr ", "cong 1", "vec cong.util ", "tel "}, []string{"guard ", "multilevel "}},
+		{"guard", "tiny_hot", "route_iter:0", guarded, []string{"guard recover "}, nil},
+		{"multilevel", "tiny_hot", "L1/route_iter:0", mlOpts(2), []string{"multilevel 2 "}, nil},
+		{"baseline", "tiny_hot", "route_iter:0", fastOpts(ModeBaselineRoute),
+			[]string{"infl monotonic ", "cong 0"}, []string{"vec infl.dr ", "vec infl.cprev ", "vec cong.util "}},
+		{"seed", "", "", Options{}, []string{"nmckpt 2"}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ckPath := filepath.Join("testdata", "seed.ckpt")
+			if tc.design != "" {
+				tc.opt.Observer = telemetry.NewObserver(io.Discard)
+				ckPath = checkpointWith(t, tc.design, tc.point, tc.opt)
+			}
+			raw, err := os.ReadFile(ckPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := "\n" + string(raw)
+			for _, rec := range tc.has {
+				if !strings.Contains(lines, "\n"+rec) {
+					t.Errorf("checkpoint carries no %q record", rec)
+				}
+			}
+			for _, rec := range tc.lacks {
+				if strings.Contains(lines, "\n"+rec) {
+					t.Errorf("checkpoint carries a %q record", rec)
+				}
+			}
+			ck, err := readCheckpoint(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rewritten bytes.Buffer
+			if err := writeCheckpoint(&rewritten, ck); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(raw, rewritten.Bytes()) {
+				a := strings.Split(string(raw), "\n")
+				b := strings.Split(rewritten.String(), "\n")
+				for i := 0; i < len(a) && i < len(b); i++ {
+					if a[i] != b[i] {
+						t.Fatalf("write→read→write differs at line %d:\n  first:  %.120s\n  second: %.120s", i+1, a[i], b[i])
+					}
+				}
+				t.Fatalf("write→read→write differs in length: %d vs %d lines", len(a), len(b))
+			}
+		})
+	}
+}
+
+// TestSeedCheckpointFields pins the record layout to an earlier build: the
+// committed seed was written at the setup boundary of a default tiny_open
+// run, and each field must read back into its own place. A round trip
+// alone cannot catch two fields swapped in both the writer and the parser.
+func TestSeedCheckpointFields(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "seed.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,23 +169,23 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ck.HasGP || !ck.HasLoop || !ck.HasCong || ck.Tel == nil {
-		t.Fatalf("mid-loop checkpoint misses sections: gp=%v loop=%v cong=%v tel=%v",
-			ck.HasGP, ck.HasLoop, ck.HasCong, ck.Tel != nil)
+	d := synth.MustGenerate("tiny_open")
+	want := Options{Mode: ModeOurs, Tech: AllTechniques()}
+	want.setDefaults(len(d.Cells))
+	if !reflect.DeepEqual(ck.Opt, want) {
+		t.Errorf("options read back as %+v, want %+v", ck.Opt, want)
 	}
-	var rewritten bytes.Buffer
-	if err := writeCheckpoint(&rewritten, ck); err != nil {
-		t.Fatal(err)
+	if err := ck.validateDesign(d); err != nil {
+		t.Error(err)
 	}
-	if !bytes.Equal(raw, rewritten.Bytes()) {
-		a := strings.Split(string(raw), "\n")
-		b := strings.Split(string(rewritten.Bytes()), "\n")
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				t.Fatalf("write→read→write differs at line %d:\n  first:  %.120s\n  second: %.120s", i+1, a[i], b[i])
-			}
-		}
-		t.Fatalf("write→read→write differs in length: %d vs %d lines", len(a), len(b))
+	if ck.Cur != (cursor{stage: "wirelength", step: -1}) || !ck.HasGP || ck.HasLoop || ck.ML {
+		t.Errorf("cursor %+v, gp %v, loop %v, multilevel %v; want wirelength/0/-1 with only gp",
+			ck.Cur, ck.HasGP, ck.HasLoop, ck.ML)
+	}
+	if ck.Nes.A != 1 || !ck.Nes.First || ck.Nes.Steps != 0 || ck.Nes.Scale != 1 ||
+		len(ck.CellPos) != 2*len(d.Cells) || len(ck.Nes.U) != len(ck.Nes.GPrev) {
+		t.Errorf("nesterov record reads %v %v %d %v with %d/%d cellpos/u values",
+			ck.Nes.A, ck.Nes.First, ck.Nes.Steps, ck.Nes.Scale, len(ck.CellPos), len(ck.Nes.U))
 	}
 }
 
@@ -268,10 +343,17 @@ func TestCancellation(t *testing.T) {
 	}
 
 	baseline := testutil.GoroutineBaseline()
-	for _, tc := range []struct{ name, trigger string }{
-		{"wirelength", "phase 1:"},
-		{"route_iter", "route iter 1:"},
-		{"legalize", "legalizing"},
+	// mid_iteration cancels through the injected fault instead of a log
+	// line: before Nesterov step 3 of route iteration 1, whose resume must
+	// continue the iteration's momentum sequence rather than restart it.
+	for _, tc := range []struct {
+		name, trigger string
+		step          int // optimizer steps after phase 1 (mid_iteration only)
+	}{
+		{"wirelength", "phase 1:", 0},
+		{"route_iter", "route iter 1:", 0},
+		{"mid_iteration", "", fastOpts(ModeOurs).StepsPerRouteIter + 3},
+		{"legalize", "legalizing", 0},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -282,7 +364,11 @@ func TestCancellation(t *testing.T) {
 			opt := fastOpts(ModeOurs)
 			opt.Workers = 2 // exercise the parallel kernels' cancellation path
 			opt.CheckpointPath = ckPath
-			opt.Log = &cancelOnLog{cancel: cancel, trigger: tc.trigger}
+			if tc.trigger != "" {
+				opt.Log = &cancelOnLog{cancel: cancel, trigger: tc.trigger}
+			} else {
+				opt.FaultInjector = inject.New(1).Arm(inject.Cancel, refRes.WLIters+tc.step)
+			}
 			res, err := PlaceContext(ctx, d, opt)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("PlaceContext returned %v, want context.Canceled", err)
@@ -301,6 +387,9 @@ func TestCancellation(t *testing.T) {
 				t.Fatalf("cancellation checkpoint does not parse: %v", err)
 			}
 			t.Logf("cancelled at cursor %s/%d/%d", ck.Cur.stage, ck.Cur.iter, ck.Cur.step)
+			if tc.step > 0 && ck.Cur != (cursor{stage: "routability", iter: 1, step: 3}) {
+				t.Fatalf("injected cancel landed at %+v, want routability/1/3", ck.Cur)
+			}
 
 			ckf, err = os.Open(ckPath)
 			if err != nil {
@@ -331,7 +420,7 @@ func TestCancellation(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t, baseline)
 }
 
-// writeVecFmt is writeVec's fmt form, the reference for its bytes.
+// writeVecFmt is a vector record's fmt form, the reference for its bytes.
 func writeVecFmt(bw *bytes.Buffer, name string, v []float64) {
 	fmt.Fprintf(bw, "vec %s %d", name, len(v))
 	for _, x := range v {
@@ -340,8 +429,8 @@ func writeVecFmt(bw *bytes.Buffer, name string, v []float64) {
 	fmt.Fprintf(bw, "\n")
 }
 
-// TestWriteVecMatchesFmt: checkpoint vectors written with
-// strconv.AppendFloat are byte-identical to the fmt " %g" form, on ±0,
+// TestWriteVecMatchesFmt: checkpoint vectors written by the field encoder
+// (strconv.AppendFloat) are byte-identical to the fmt " %g" form, on ±0,
 // ±Inf, NaN, subnormals, the extremes, random magnitudes and random bit
 // patterns (NaN payloads included).
 func TestWriteVecMatchesFmt(t *testing.T) {
@@ -366,7 +455,7 @@ func TestWriteVecMatchesFmt(t *testing.T) {
 		var got, want bytes.Buffer
 		got.WriteString("cells 3\n")
 		want.WriteString("cells 3\n")
-		writeVec(&got, "cellpos", vec)
+		writeRecord(&got, "vec cellpos", []any{&vec})
 		writeVecFmt(&want, "cellpos", vec)
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			g, w := strings.Fields(got.String()), strings.Fields(want.String())

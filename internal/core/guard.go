@@ -83,24 +83,19 @@ type guardRuntime struct {
 	last       gpSnapshot
 }
 
-// initGuard builds the guard runtime when guarding is enabled. The
-// guard.violations / guard.recoveries counters are resolved here — and only
-// here — so a guards-Off run's metrics registry (and therefore its flushed
-// trace) is byte-identical to a build without the guard layer.
-func (ps *PlacementState) initGuard() error {
-	cfg := ps.Opt.Guard
-	if !cfg.Enabled() {
-		return nil
+// initGuard builds the guard runtime when guarding is enabled; validateRun
+// has checked the config. The guard.violations / guard.recoveries counters
+// are resolved here — and only here — so a guards-Off run's metrics
+// registry (and therefore its flushed trace) is byte-identical to a build
+// without the guard layer.
+func (ps *PlacementState) initGuard() {
+	if cfg := ps.Opt.Guard; cfg.Enabled() {
+		ps.grd = &guardRuntime{
+			cfg:        cfg,
+			violations: ps.obs.Counter("guard.violations"),
+			recoveries: ps.obs.Counter("guard.recoveries"),
+		}
 	}
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	ps.grd = &guardRuntime{
-		cfg:        cfg,
-		violations: ps.obs.Counter("guard.violations"),
-		recoveries: ps.obs.Counter("guard.recoveries"),
-	}
-	return nil
 }
 
 // wireInjector hooks the deterministic fault injector (tests only; nil in

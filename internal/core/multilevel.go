@@ -33,20 +33,8 @@ type mlRun struct {
 	orig  *netlist.Design // the finest (caller's) design
 	outer Options         // post-setDefaults caller options
 
-	levels   int            // requested Options.Levels
-	maxW     int            // resolved ClusterMaxSize (0 = no cap)
 	maps     []*cluster.Map // maps[k] coarsens level k onto level k+1
 	topLevel int            // coarsest level actually built (len(maps))
-
-	// Warm-start hand-off (Options.MLWarmStart): captured at the end of
-	// each level's phase 1 and applied at the next finer level's phase-1
-	// entry. warmBoost is the cumulative λ₁ growth (λ₁ / λ₁Init, chaining
-	// across levels), warmOverflow the clamped density overflow phase 1
-	// converged to. Serialized into checkpoints (the mlwarm record) because
-	// resume never re-runs completed coarse levels.
-	warmSet      bool
-	warmBoost    float64
-	warmOverflow float64
 }
 
 // design returns the level-k design (level 0 is the original).
@@ -97,14 +85,7 @@ func placeMultilevel(ctx context.Context, d *netlist.Design, opt Options) (*Resu
 	if err != nil {
 		return nil, fmt.Errorf("core: multilevel: %w", err)
 	}
-	ml := &mlRun{
-		orig:     d,
-		outer:    opt,
-		levels:   opt.Levels,
-		maxW:     opt.ClusterMaxSize,
-		maps:     maps,
-		topLevel: len(maps),
-	}
+	ml := &mlRun{orig: d, outer: opt, maps: maps, topLevel: len(maps)}
 	sizes := make([]string, 0, ml.topLevel+1)
 	for k := ml.topLevel; k >= 0; k-- {
 		sizes = append(sizes, fmt.Sprintf("%d", len(ml.design(k).Cells)))
@@ -150,22 +131,11 @@ func resumeMultilevel(ctx context.Context, d *netlist.Design, ck *checkpoint, me
 	if err := ck.validateDesign(d); err != nil {
 		return nil, err
 	}
-	ml := &mlRun{
-		orig:     d,
-		outer:    merged,
-		levels:   ck.MLLevels,
-		maxW:     ck.MLMaxW,
-		topLevel: ck.MLTop,
-		// Resume never re-runs completed coarse levels, so the warm-start
-		// hand-off those levels produced comes from the checkpoint.
-		warmSet:      ck.MLWarmSet,
-		warmBoost:    ck.MLWarmBoost,
-		warmOverflow: ck.MLWarmOv,
-	}
+	ml := &mlRun{orig: d, outer: merged, topLevel: ck.MLTop}
 	// The hierarchy is only needed while coarse levels remain: a run
 	// checkpointed at level 0 has consumed every cluster map already.
 	if ck.MLLevel > 0 {
-		maps, err := cluster.Hierarchy(d, ck.MLLevels, ck.MLMaxW)
+		maps, err := cluster.Hierarchy(d, merged.Levels, merged.ClusterMaxSize)
 		if err != nil {
 			return nil, fmt.Errorf("core: resume: %w", err)
 		}

@@ -33,15 +33,6 @@ type objective struct {
 	fixedLambda2 float64 // >0 → ablation A2
 	useCong      bool    // congestion term active this phase
 
-	// lambda1Init records the ePlace initialization value BEFORE the
-	// warm-start boost, so the multilevel warm start can capture how much
-	// growth a level accumulated (λ₁ / λ₁Init) and hand it to the next
-	// finer level. lambda1Boost (> 0) multiplies the lazy initialization —
-	// the finer level then starts its ramp where the coarse level ended,
-	// in its own gradient scale.
-	lambda1Init  float64
-	lambda1Boost float64
-
 	// Scratch buffers.
 	gWL   []float64 // per netlist cell, 2N
 	gDens []float64 // per netlist cell, 2N
@@ -138,10 +129,6 @@ func (o *objective) Eval(x, grad []float64) {
 			o.lambda1 = o.lastWLGradL1 / densL1
 		} else {
 			o.lambda1 = 1
-		}
-		o.lambda1Init = o.lambda1
-		if o.lambda1Boost > 0 {
-			o.lambda1 *= o.lambda1Boost
 		}
 	}
 

@@ -131,17 +131,6 @@ type Options struct {
 	// cap entirely.
 	ClusterMaxSize int
 
-	// MLWarmStart warm-starts λ₁ and γ at the finer multilevel levels from
-	// the coarse level's converged phase-1 state instead of re-running the
-	// full wirelength ramp: the fine level's ePlace λ₁ initialization is
-	// multiplied by the growth the coarse level had accumulated, γ starts
-	// from the coarse level's final overflow, and the phase-1 early-stop
-	// iteration floor drops from 20 to 5. Off by default (it changes the
-	// multilevel trajectory); only meaningful with Levels ≥ 2. Deterministic
-	// and checkpoint-safe: the warm state serializes so resumed runs replay
-	// identically.
-	MLWarmStart bool
-
 	// CheckpointPath, when non-empty, is where the run writes its state
 	// checkpoint: at the scheduled CheckpointAfter point, or — on context
 	// cancellation — at the last consistent pipeline position reached. The
@@ -279,6 +268,21 @@ func (o *Options) setDefaults(numCells int) {
 	if o.Guard.Enabled() {
 		o.Guard.SetDefaults()
 	}
+}
+
+// withEnvironment returns o with env's environment fields: where the run
+// reports and persists, never what it computes. They are the fields a
+// checkpoint leaves out and a resume takes from its caller.
+func (o Options) withEnvironment(env Options) Options {
+	o.Workers = env.Workers
+	o.Log = env.Log
+	o.Observer = env.Observer
+	o.CheckpointPath = env.CheckpointPath
+	o.CheckpointAfter = env.CheckpointAfter
+	o.BoundaryHook = env.BoundaryHook
+	o.DisableCancelCheckpoint = env.DisableCancelCheckpoint
+	o.FaultInjector = env.FaultInjector
+	return o
 }
 
 // logf emits one progress line to BOTH sinks from a single call site: the

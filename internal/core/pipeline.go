@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -156,11 +155,6 @@ type PlacementState struct {
 	lastRoutedPos []float64
 	movedMask     []bool
 
-	// warmStarted marks that this level's phase 1 was seeded from the
-	// coarse level's converged state (Options.MLWarmStart), which lowers
-	// the early-stop iteration floor.
-	warmStarted bool
-
 	// Routability-loop runtime, built by the loop prologue on a fresh run
 	// or by restore when resuming into the middle of the loop.
 	loopReady   bool
@@ -225,13 +219,7 @@ func Place(d *netlist.Design, opt Options) (*Result, error) {
 // checkpoint kinds).
 func PlaceContext(ctx context.Context, d *netlist.Design, opt Options) (*Result, error) {
 	opt.setDefaults(len(d.Cells))
-	if err := validateCheckpointOpts(&opt); err != nil {
-		return nil, err
-	}
-	if err := opt.Guard.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validatePlaceable(d); err != nil {
+	if err := validateRun(d, &opt); err != nil {
 		return nil, err
 	}
 	if opt.Levels > 1 {
@@ -264,6 +252,18 @@ func (ps *PlacementState) pt(name string) string {
 // startSpan opens a span under the state's level prefix.
 func (ps *PlacementState) startSpan(name string) *telemetry.Span {
 	return ps.obs.StartSpan(ps.pt(name))
+}
+
+// validateRun is the entry check a fresh run and a resume share: the
+// checkpoint request, the guard config, then the design.
+func validateRun(d *netlist.Design, opt *Options) error {
+	if err := validateCheckpointOpts(opt); err != nil {
+		return err
+	}
+	if err := opt.Guard.Validate(); err != nil {
+		return err
+	}
+	return validatePlaceable(d)
 }
 
 // validateCheckpointOpts rejects malformed checkpoint requests up front so
@@ -503,9 +503,7 @@ func (ps *PlacementState) buildRuntime() error {
 	ps.optm.StepMax = dens.BinW() * 4
 	ps.congAt = make([]float64, len(d.Cells))
 
-	if err := ps.initGuard(); err != nil {
-		return err
-	}
+	ps.initGuard()
 	ps.wireInjector()
 
 	if obs := ps.obs; obs != nil {
@@ -559,21 +557,6 @@ func (wirelengthStage) Name() string { return "wirelength" }
 func (wirelengthStage) Run(ctx context.Context, ps *PlacementState) error {
 	opt, obs, res := &ps.Opt, ps.obs, ps.Res
 	p1 := ps.startSpan("phase1_wirelength")
-	// Multilevel warm start: a finer level seeds λ₁/γ from the coarse
-	// level's converged phase-1 state instead of re-running the full ramp.
-	// The boost folds into the lazy ePlace initialization, so a resume
-	// whose λ₁ is already serialized (non-zero) must not re-apply it.
-	minIters := 20
-	if ps.ml != nil && opt.MLWarmStart && ps.level < ps.ml.topLevel && ps.ml.warmSet {
-		ps.warmStarted = true
-		minIters = 5
-		if ps.obj.lambda1 == 0 {
-			ps.obj.lambda1Boost = ps.ml.warmBoost
-			ps.wl.UpdateGamma(ps.gamma0, ps.ml.warmOverflow)
-			opt.logf("phase 1: warm start from coarse level (λ₁ boost %.4g, overflow seed %.3f)",
-				ps.ml.warmBoost, ps.ml.warmOverflow)
-		}
-	}
 	if ps.cur.iter == 0 {
 		opt.logf("phase 1: wirelength-driven placement (grid %dx%d, %d fillers)",
 			ps.dens.NX, ps.dens.NY, ps.dens.NumFillers())
@@ -605,18 +588,7 @@ func (wirelengthStage) Run(ctx context.Context, ps *PlacementState) error {
 				telemetry.F("gamma", ps.wl.Gamma()),
 				telemetry.F("step", step))
 		}
-		if ps.obj.lastOverflow < opt.WLOverflowStop && it > minIters {
-			break
-		}
-		// Warm-started levels run a shortened ramp: the loop starts at
-		// √growth and ends once λ₁ reaches the coarse level's full converged
-		// growth — the same final scale a cold run's complete ramp reaches —
-		// instead of overshooting it for the remaining iterations. All
-		// inputs (λ₁, λ₁Init, warmBoost) serialize, so a resumed run breaks
-		// at the identical iteration.
-		if ps.warmStarted && ps.obj.lambda1Init > 0 && it > minIters &&
-			ps.obj.lambda1 >= ps.obj.lambda1Init*ps.ml.warmBoost*ps.ml.warmBoost {
-			opt.logf("phase 1: warm ramp reached coarse λ₁ growth after %d iters", it+1)
+		if ps.obj.lastOverflow < opt.WLOverflowStop && it > 20 {
 			break
 		}
 	}
@@ -624,19 +596,6 @@ func (wirelengthStage) Run(ctx context.Context, ps *PlacementState) error {
 	ps.D.ClampToDie()
 	ps.dens.ClampFillers()
 	res.FinalOverflow = ps.obj.lastOverflow
-	// Hand the converged ramp to the next finer level. λ₁Init is the
-	// pre-boost initialization, so the captured boost chains: it carries
-	// every coarser level's accumulated growth plus this level's.
-	if ps.ml != nil && opt.MLWarmStart && ps.level > 0 && ps.obj.lambda1Init > 0 {
-		ps.ml.warmSet = true
-		// √growth: start the finer ramp halfway (in log scale) to the
-		// coarse level's converged λ₁. A full boost would begin the level
-		// density-dominated and never re-optimize wirelength after
-		// interpolation; halfway preserves the interpolated spread while
-		// leaving a wirelength-dominant regime to refine it.
-		ps.ml.warmBoost = math.Sqrt(ps.obj.lambda1 / ps.obj.lambda1Init)
-		ps.ml.warmOverflow = clamp01(ps.obj.lastOverflow)
-	}
 	p1.End()
 	opt.logf("phase 1 done: %d iters, overflow %.3f, HPWL %.0f",
 		res.WLIters, ps.obj.lastOverflow, ps.D.HPWL())
@@ -656,16 +615,12 @@ func (routabilityStage) Run(ctx context.Context, ps *PlacementState) error {
 		return nil
 	}
 	p2 := ps.resumeSpanFor("phase2_routability")
-	err := ps.routabilityLoop(ctx, p2)
-	if err != nil {
-		if errors.Is(err, ErrCheckpointed) {
-			return err // p2 stays open; it was captured into the checkpoint
-		}
-		p2.End()
-		return err
+	err := ps.routabilityLoop(ctx)
+	if errors.Is(err, ErrCheckpointed) {
+		return err // p2 stays open; it was captured into the checkpoint
 	}
 	p2.End()
-	return nil
+	return err
 }
 
 // loopPrologue builds the routability-loop runtime: the inflation scheme
@@ -675,17 +630,10 @@ func (routabilityStage) Run(ctx context.Context, ps *PlacementState) error {
 // first half of the trace).
 func (ps *PlacementState) loopPrologue() error {
 	d, opt := ps.D, &ps.Opt
-	inf, err := newInflator(d, opt)
-	if err != nil {
+	if err := ps.buildLoopModels(); err != nil {
 		return err
 	}
-	ps.inf = inf
-
-	ps.bins = pgrail.BinGrid{NX: ps.dens.NX, NY: ps.dens.NY, Die: d.Die,
-		BinW: ps.dens.BinW(), BinH: ps.dens.BinH()}
-	ps.dynamicPG = opt.Mode == ModeOurs && opt.Tech.DPA
 	if ps.dynamicPG {
-		ps.selected = pgrail.SelectRails(d)
 		opt.logf("phase 2: %d of %d PG rails selected for density adjustment",
 			len(ps.selected), len(d.Rails))
 	} else {
@@ -703,6 +651,24 @@ func (ps *PlacementState) loopPrologue() error {
 		}
 	}
 	ps.loopReady = true
+	return nil
+}
+
+// buildLoopModels builds the loop's models that the prologue and a restore
+// share: the inflator, the PG bin grid and the rail selection.
+func (ps *PlacementState) buildLoopModels() error {
+	d, opt := ps.D, &ps.Opt
+	inf, err := newInflator(d, opt)
+	if err != nil {
+		return err
+	}
+	ps.inf = inf
+	ps.bins = pgrail.BinGrid{NX: ps.dens.NX, NY: ps.dens.NY, Die: d.Die,
+		BinW: ps.dens.BinW(), BinH: ps.dens.BinH()}
+	ps.dynamicPG = opt.Mode == ModeOurs && opt.Tech.DPA
+	if ps.dynamicPG {
+		ps.selected = pgrail.SelectRails(d)
+	}
 	return nil
 }
 
@@ -732,23 +698,32 @@ func newInflator(d *netlist.Design, opt *Options) (inflation.Inflator, error) {
 	}
 }
 
-// routabilityLoop runs (or resumes) the route→inflate→adapt→optimize loop.
-func (ps *PlacementState) routabilityLoop(ctx context.Context, p2 *telemetry.Span) error {
-	d, opt, obs, res := ps.D, &ps.Opt, ps.obs, ps.Res
+// loopCounters are the routability loop's metric handles. They are nil-safe:
+// with no Observer they are nil and every update is a no-op branch.
+type loopCounters struct {
+	routeCalls, ripupRounds, routeSegs         *telemetry.Counter
+	congUpdates, nesterovResets, poissonSolves *telemetry.Counter
+}
 
-	// Nil-safe metric handles: with obs == nil these are nil and every
-	// update below is a no-op branch. On a resumed run these resolve to the
-	// restored metrics, continuing their counts.
-	routeCalls := obs.Counter("route.calls")
-	ripupRounds := obs.Counter("route.ripup_rounds")
-	routeSegs := obs.Counter("route.segments")
-	congUpdates := obs.Counter("congestion.updates")
-	nesterovResets := obs.Counter("nesterov.resets")
-	poissonSolves := obs.Counter("poisson.solves")
-
+// routabilityLoop runs (or resumes) the loop of Fig. 2. Each route iteration
+// routes and adapts the models (routeAndAdapt), then optimizes the adapted
+// objective (optimize). ps.cur names the next work throughout — {it, -1}
+// before an iteration's router call, {it, s} before its Nesterov step s —
+// so a cancellation checkpoints from wherever it lands.
+func (ps *PlacementState) routabilityLoop(ctx context.Context) error {
+	obs := ps.obs
+	// Resolved at loop entry, so every run registers the same metrics; on a
+	// resumed run they resolve to the restored metrics, continuing counts.
+	c := &loopCounters{
+		routeCalls:     obs.Counter("route.calls"),
+		ripupRounds:    obs.Counter("route.ripup_rounds"),
+		routeSegs:      obs.Counter("route.segments"),
+		congUpdates:    obs.Counter("congestion.updates"),
+		nesterovResets: obs.Counter("nesterov.resets"),
+		poissonSolves:  obs.Counter("poisson.solves"),
+	}
 	if !ps.loopReady {
 		if err := ps.loopPrologue(); err != nil {
-			p2.End()
 			return err
 		}
 	}
@@ -758,177 +733,38 @@ func (ps *PlacementState) routabilityLoop(ctx context.Context, p2 *telemetry.Spa
 	// the router (to rebuild its decomposition cache), so the wiring below
 	// is unconditional.
 	if ps.rtr == nil {
-		ps.rtr = route.NewRouter(d, ps.grid)
+		ps.rtr = route.NewRouter(ps.D, ps.grid)
 	}
 	ps.rtr.Trace = ps.tr
 	ps.rtr.CacheHits = obs.Counter("route.decompose_cache_hits")
 	ps.rtr.DirtyNets = obs.Counter("route.dirty_nets")
 
-	for it := ps.cur.iter; it < opt.MaxRouteIters; it++ {
-		fromStep := -1
-		if it == ps.cur.iter {
-			fromStep = ps.cur.step
-		}
-		freshAdapt := false
-		var itSp *telemetry.Span
-		if fromStep < 0 {
-			// Fresh iteration: route from the current positions, observe,
-			// and adapt the models.
+	for it := ps.cur.iter; it < ps.Opt.MaxRouteIters; it++ {
+		// A resume into a half-finished iteration (a cancellation landed
+		// between Nesterov steps) has its router call and adaptation
+		// committed already and picks up at the recorded step.
+		fresh := ps.cur.step < 0
+		if fresh {
 			if err := ps.checkCancel(ctx); err != nil {
-				ps.cur = cursor{stage: "routability", iter: it, step: -1}
 				return err
 			}
 			ps.obj.scatter(ps.optm.U())
-
-			itSp = ps.startSpan("route_iter")
-			ps.feedPositionDelta()
-			sp := ps.startSpan("route")
-			rres, err := ps.rtr.RouteContext(ctx)
-			if err != nil {
-				sp.End()
-				itSp.End()
-				ps.cur = cursor{stage: "routability", iter: it, step: -1}
-				return err
-			}
-			sp.End()
-			routeCalls.Inc()
-			ripupRounds.Add(int64(rres.RoundsRun))
-			routeSegs.Add(int64(rres.Segments))
-			// Track the same superlinear overflow shape the post-route DRV
-			// oracle scores, so "C(x,y) no longer decreases" and the final
-			// evaluation agree on what an improvement is.
-			wc := overflowScore(rres)
-			res.CongestionHistory = append(res.CongestionHistory, wc)
-			// Count the router call NOW so RouteIters ==
-			// len(CongestionHistory) even when one of the breaks below ends
-			// the loop.
-			res.RouteIters++
-			opt.logf("route iter %d: overflow score %.1f, max util %.2f, overflow cells %d",
-				it, wc, rres.MaxUtil, rres.OverflowCells)
-			if obs != nil {
-				inflMean, inflMax := inflationStats(ps.inf.Ratios())
-				obs.Snapshot(ps.pt("route_iter"), it,
-					telemetry.F("hpwl", d.HPWL()),
-					telemetry.F("overflow_score", wc),
-					telemetry.F("max_util", rres.MaxUtil),
-					telemetry.F("overflow_cells", float64(rres.OverflowCells)),
-					telemetry.F("dens_overflow", ps.obj.lastOverflow),
-					telemetry.F("lambda1", ps.obj.lambda1),
-					telemetry.F("lambda2", ps.obj.lambda2),
-					telemetry.F("gamma", ps.wl.Gamma()),
-					telemetry.F("infl_mean", inflMean),
-					telemetry.F("infl_max", inflMax))
-				// Quantized congestion frame for heatmap replay (dashboard,
-				// trace tooling). Emitted only on fresh iterations — resumed
-				// runs skip committed iterations, keeping the trace
-				// continuation byte-exact.
-				obs.Grid(ps.pt("congestion"), it, ps.grid.NX, ps.grid.NY, rres.Congestion)
-			}
-
-			// Stop when C(x,y) no longer decreases (Fig. 2); remember the
-			// best placement seen so a late degradation cannot leak into
-			// the result.
-			if it == 0 || wc < ps.bestC*0.999 {
-				ps.bestC = wc
-				ps.stall = 0
-				ps.bestX = append(ps.bestX[:0], ps.optm.U()...)
-			} else {
-				ps.stall++
-				if ps.stall >= opt.CongestionPatience {
-					opt.logf("route loop: congestion stalled after %d iters", it+1)
-					itSp.End()
-					break
-				}
-			}
-			if rres.OverflowCells == 0 {
-				opt.logf("route loop: no congestion left after %d iters", it+1)
-				itSp.End()
-				break
-			}
-
-			// Momentum (or baseline) cell inflation.
-			sp = ps.startSpan("inflate")
-			cellCongestion(d, rres.CongestionAt, ps.congAt)
-			aerr := ps.inf.Update(ps.congAt, rres.AvgCongestion())
-			if aerr == nil {
-				aerr = ps.dens.SetInflations(ps.inf.Ratios())
-			}
-			sp.End()
-			if aerr != nil {
-				itSp.End()
-				return aerr
-			}
-
-			// Dynamic PG density (Eq. 13–15).
-			if ps.dynamicPG {
-				sp = ps.startSpan("pg_density")
-				pg, perr := pgrail.Density(ps.selected, ps.bins, rres.Congestion, rres.AvgCongestion())
-				if perr == nil {
-					perr = ps.dens.SetPGDensity(pg)
-				}
-				sp.End()
-				if perr != nil {
-					itSp.End()
-					return perr
-				}
-			}
-
-			// Differentiable congestion term.
-			if ps.useCongTerm {
-				sp = ps.startSpan("congestion_update")
-				ps.cong.Update(rres)
-				sp.End()
-				congUpdates.Inc()
-				poissonSolves.Inc() // the congestion potential is one Poisson solve
-			}
-			fromStep = 0
-			freshAdapt = true
-			ps.cur = cursor{stage: "routability", iter: it, step: 0}
-		} else {
-			// Resuming into a half-finished iteration (a cancellation
-			// landed between Nesterov steps): router and adaptation are
-			// already committed, pick up at the recorded step.
-			itSp = ps.startSpan("route_iter")
 		}
-
-		// Nesterov steps on the updated objective. The problem changed
-		// discontinuously, so restart the momentum sequence at the current
-		// main iterate — but only when the adaptation just happened: on a
-		// resume the restored optimizer state is already post-Reset. λ₁
-		// keeps growing only while density overflow remains above the
-		// target — compounding it unconditionally would let the density
-		// term drown the wirelength and congestion terms over a long
-		// routability loop.
-		sp := ps.startSpan("nesterov")
-		ps.obj.useCong = ps.useCongTerm
-		if freshAdapt {
-			ps.optm.Reset(ps.optm.U())
-			nesterovResets.Inc()
+		itSp := ps.startSpan("route_iter")
+		stop, err := false, error(nil)
+		if fresh {
+			stop, err = ps.routeAndAdapt(ctx, it, c)
 		}
-		for s := fromStep; s < opt.StepsPerRouteIter; s++ {
-			if err := ps.checkCancel(ctx); err != nil {
-				sp.End()
-				itSp.End()
-				ps.cur = cursor{stage: "routability", iter: it, step: s}
-				return err
-			}
-			ps.optm.Step(ps.obj)
-			if retry, err := ps.guardAfterStep("routability"); err != nil {
-				sp.End()
-				itSp.End()
-				return err
-			} else if retry {
-				s-- // redo this step from the rolled-back state
-				continue
-			}
-			if ps.obj.lastOverflow > opt.WLOverflowStop {
-				ps.obj.lambda1 *= lambda1RouteGrowth
-			}
-			ps.cur.step = s + 1
+		if !stop && err == nil {
+			err = ps.optimize(ctx, fresh, c)
 		}
-		sp.End()
-		res.FinalOverflow = ps.obj.lastOverflow
 		itSp.End()
+		if err != nil {
+			return err
+		}
+		if stop {
+			break
+		}
 		ps.cur = cursor{stage: "routability", iter: it + 1, step: -1}
 		if err := ps.maybeCheckpoint(ps.pt(fmt.Sprintf("route_iter:%d", it))); err != nil {
 			return err
@@ -939,8 +775,143 @@ func (ps *PlacementState) routabilityLoop(ctx context.Context, p2 *telemetry.Spa
 	} else {
 		ps.obj.scatter(ps.optm.U())
 	}
-	d.ClampToDie()
+	ps.D.ClampToDie()
 	ps.dens.ClampFillers()
+	return nil
+}
+
+// routeAndAdapt is a fresh iteration's route-and-adapt phase: route the
+// current placement, record C(x,y), apply the stop rules, then adapt the
+// models — cell inflation, PG density and the congestion term. It reports
+// stop when the loop ends at this iteration.
+func (ps *PlacementState) routeAndAdapt(ctx context.Context, it int, c *loopCounters) (stop bool, err error) {
+	d, opt, obs, res := ps.D, &ps.Opt, ps.obs, ps.Res
+	ps.feedPositionDelta()
+	sp := ps.startSpan("route")
+	rres, err := ps.rtr.RouteContext(ctx)
+	sp.End()
+	if err != nil {
+		return false, err
+	}
+	c.routeCalls.Inc()
+	c.ripupRounds.Add(int64(rres.RoundsRun))
+	c.routeSegs.Add(int64(rres.Segments))
+	// Track the same superlinear overflow shape the post-route DRV oracle
+	// scores, so "C(x,y) no longer decreases" and the final evaluation
+	// agree on what an improvement is.
+	wc := overflowScore(rres)
+	res.CongestionHistory = append(res.CongestionHistory, wc)
+	// Count the router call NOW so RouteIters == len(CongestionHistory)
+	// even when a stop rule below ends the loop.
+	res.RouteIters++
+	opt.logf("route iter %d: overflow score %.1f, max util %.2f, overflow cells %d",
+		it, wc, rres.MaxUtil, rres.OverflowCells)
+	if obs != nil {
+		inflMean, inflMax := inflationStats(ps.inf.Ratios())
+		obs.Snapshot(ps.pt("route_iter"), it,
+			telemetry.F("hpwl", d.HPWL()),
+			telemetry.F("overflow_score", wc),
+			telemetry.F("max_util", rres.MaxUtil),
+			telemetry.F("overflow_cells", float64(rres.OverflowCells)),
+			telemetry.F("dens_overflow", ps.obj.lastOverflow),
+			telemetry.F("lambda1", ps.obj.lambda1),
+			telemetry.F("lambda2", ps.obj.lambda2),
+			telemetry.F("gamma", ps.wl.Gamma()),
+			telemetry.F("infl_mean", inflMean),
+			telemetry.F("infl_max", inflMax))
+		// Quantized congestion frame for heatmap replay (dashboard, trace
+		// tooling). Emitted only on fresh iterations — resumed runs skip
+		// committed iterations, keeping the trace continuation byte-exact.
+		obs.Grid(ps.pt("congestion"), it, ps.grid.NX, ps.grid.NY, rres.Congestion)
+	}
+
+	// Stop when C(x,y) no longer decreases (Fig. 2); remember the best
+	// placement seen so a late degradation cannot leak into the result.
+	if it == 0 || wc < ps.bestC*0.999 {
+		ps.bestC = wc
+		ps.stall = 0
+		ps.bestX = append(ps.bestX[:0], ps.optm.U()...)
+	} else {
+		ps.stall++
+		if ps.stall >= opt.CongestionPatience {
+			opt.logf("route loop: congestion stalled after %d iters", it+1)
+			return true, nil
+		}
+	}
+	if rres.OverflowCells == 0 {
+		opt.logf("route loop: no congestion left after %d iters", it+1)
+		return true, nil
+	}
+
+	// Momentum (or baseline) cell inflation.
+	sp = ps.startSpan("inflate")
+	cellCongestion(d, rres.CongestionAt, ps.congAt)
+	err = ps.inf.Update(ps.congAt, rres.AvgCongestion())
+	if err == nil {
+		err = ps.dens.SetInflations(ps.inf.Ratios())
+	}
+	sp.End()
+	if err != nil {
+		return false, err
+	}
+
+	// Dynamic PG density (Eq. 13–15).
+	if ps.dynamicPG {
+		sp = ps.startSpan("pg_density")
+		pg, err := pgrail.Density(ps.selected, ps.bins, rres.Congestion, rres.AvgCongestion())
+		if err == nil {
+			err = ps.dens.SetPGDensity(pg)
+		}
+		sp.End()
+		if err != nil {
+			return false, err
+		}
+	}
+
+	// Differentiable congestion term.
+	if ps.useCongTerm {
+		sp = ps.startSpan("congestion_update")
+		ps.cong.Update(rres)
+		sp.End()
+		c.congUpdates.Inc()
+		c.poissonSolves.Inc() // the congestion potential is one Poisson solve
+	}
+	ps.cur.step = 0
+	return false, nil
+}
+
+// optimize is an iteration's optimize phase: the Nesterov steps on the
+// adapted objective, from step ps.cur.step on. The problem changed
+// discontinuously, so a fresh iteration restarts the momentum sequence at
+// the current main iterate; on a resume the restored optimizer state is
+// already post-Reset. λ₁ keeps growing only while density overflow remains
+// above the target — compounding it unconditionally would let the density
+// term drown the wirelength and congestion terms over a long loop.
+func (ps *PlacementState) optimize(ctx context.Context, fresh bool, c *loopCounters) error {
+	sp := ps.startSpan("nesterov")
+	defer sp.End()
+	ps.obj.useCong = ps.useCongTerm
+	if fresh {
+		ps.optm.Reset(ps.optm.U())
+		c.nesterovResets.Inc()
+	}
+	for s := ps.cur.step; s < ps.Opt.StepsPerRouteIter; s++ {
+		if err := ps.checkCancel(ctx); err != nil {
+			return err
+		}
+		ps.optm.Step(ps.obj)
+		if retry, err := ps.guardAfterStep("routability"); err != nil {
+			return err
+		} else if retry {
+			s-- // redo this step from the rolled-back state
+			continue
+		}
+		if ps.obj.lastOverflow > ps.Opt.WLOverflowStop {
+			ps.obj.lambda1 *= lambda1RouteGrowth
+		}
+		ps.cur.step = s + 1
+	}
+	ps.Res.FinalOverflow = ps.obj.lastOverflow
 	return nil
 }
 

@@ -11,22 +11,13 @@ package core
 // model is reconstructed deterministically from the serialized state,
 // is what makes resumed runs byte-identical to uninterrupted ones.
 //
+// A file is the version line, the fixed-layout records checkpoint.records
+// lists (in its order; a vector record reads "vec <name> <n> <v1> … <vn>"),
+// the telemetry records, "end" and the crc footer:
+//
 //	nmckpt 2
 //	cursor <stage> <iter> <step>
-//	multilevel <levels> <clustermaxsize> <toplevel> <level> <levelcells>   (only multilevel runs)
-//	mode <int>
-//	tech <mci> <dc> <dpa> <alpha> <scheme|-> <thresh> <fixedl2> <vmid>
-//	opts <grid> <maxwl> <wlstop> <maxroute> <steps> <patience> <skipleg> <skipdet>
-//	guard <policy> <maxretries> <backoff> <checkevery> <retries>   (only when guarded)
-//	design <cells> <nets> <pins> <rails> <lox> <loy> <hix> <hiy>
-//	result <wliters> <routeiters> <finaloverflow> <hpwlglobal> <hpwllegal> <legdisp>
-//	vec conghist / cellpos / nes.* / fillers / infl.* / bestx / pgrho / cong.* / rtr.pincell
-//	gp <gamma> <lambda1> <lambda2> <lastwl> <lastoverflow> <lastwlgradl1>
-//	nesterov <a> <first> <steps> <scale>
-//	loop <bestc> <stall>
-//	infl <scheme> <avgprev> <t>
-//	cong <present>
-//	mlwarm <set> <boost> <overflow> <l1init>   (only when Options.MLWarmStart)
+//	…
 //	tel <seq> <nextspanid>  + telspan / telagg / telctr / telgauge / telhist
 //	end
 //	crc <8-hex-digits>
@@ -58,7 +49,6 @@ import (
 	"repro/internal/inflation"
 	"repro/internal/nesterov"
 	"repro/internal/netlist"
-	"repro/internal/pgrail"
 	"repro/internal/route"
 	"repro/internal/telemetry"
 )
@@ -83,38 +73,28 @@ func corruptf(format string, args ...any) error {
 type checkpoint struct {
 	Cur cursor
 
-	// Multilevel run identity (Options.Levels ≥ 2). The design/opts records
-	// keep describing the ORIGINAL design and the caller's options; MLLevel
-	// pinpoints the hierarchy level the cursor (and CellPos) belong to, and
-	// MLCells its cell count, validated against the rebuilt hierarchy on
-	// resume. Flat runs serialize none of this, keeping their checkpoints
-	// byte-identical to the pre-multilevel format.
-	ML                                        bool
-	MLLevels, MLMaxW, MLTop, MLLevel, MLCells int
+	// Opt is the options fingerprint: the run's options after setDefaults,
+	// with the environment fields (Options.withEnvironment) zero — they may
+	// differ between the two run halves without affecting results. A
+	// multilevel checkpoint holds the caller's options, never a level's
+	// derived ones. Levels and ClusterMaxSize ride the multilevel record and
+	// Guard the guard record; an unguarded run writes no guard record.
+	Opt Options
 
-	// Options fingerprint (post-setDefaults values; Workers/Log/Observer
-	// and the checkpoint fields themselves are intentionally absent — they
-	// may differ between the two run halves without affecting results).
-	Mode               Mode
-	Tech               Techniques
-	GridHint           int
-	MaxWLIters         int
-	WLOverflowStop     float64
-	MaxRouteIters      int
-	StepsPerRouteIter  int
-	CongestionPatience int
-	SkipLegalize       bool
-	SkipDetailed       bool
+	// Multilevel position (Opt.Levels ≥ 2): the coarsest level built, the
+	// level the cursor (and CellPos) belong to, and that level's cell count,
+	// validated against the rebuilt hierarchy on resume. Flat runs write no
+	// multilevel record.
+	ML                      bool
+	MLTop, MLLevel, MLCells int
 
-	// Guard configuration (post-SetDefaults) and the recoveries already
-	// used, so a resumed run keeps honouring the same retry budget. The
-	// zero-value config (policy Off) is not serialized at all, keeping
-	// unguarded checkpoints byte-identical to the pre-guard format.
-	GuardCfg     guard.Config
+	// Guard recoveries already used, so a resumed run keeps honouring the
+	// same retry budget.
 	GuardRetries int
 
 	// Design fingerprint (the netlist itself is not embedded; resume takes
-	// the same design file and validates it against this).
+	// the same design file and validates it against this). Always the
+	// ORIGINAL design, even for a checkpoint captured at a coarse level.
 	NumCells, NumNets, NumPins, NumRails int
 	Die                                  geom.Rect
 
@@ -147,16 +127,6 @@ type checkpoint struct {
 	// it, so resumed cache-hit/dirty-net counters continue exactly.
 	RtrPinCell []float64
 
-	// Multilevel warm-start hand-off (Options.MLWarmStart): the mlRun's
-	// captured coarse-level state plus the capturing level's pre-boost λ₁
-	// initialization, so a resume mid-phase-1 can still compute the boost
-	// (λ₁/λ₁Init) at stage end. Absent when the option is off.
-	MLWarm        bool
-	MLWarmSet     bool
-	MLWarmBoost   float64
-	MLWarmOv      float64
-	MLLambda1Init float64
-
 	// Telemetry continuation state (present when the run had an Observer).
 	Tel *telemetry.ObserverState
 }
@@ -164,30 +134,17 @@ type checkpoint struct {
 // capture snapshots the placement state at the current cursor. Everything
 // is deep-copied; the checkpoint shares nothing with the live run.
 func (ps *PlacementState) capture() *checkpoint {
-	d, opt := ps.D, &ps.Opt
-	fingerD := d
+	d, fingerD, opt := ps.D, ps.D, &ps.Opt
 	if ps.ml != nil {
 		// A multilevel checkpoint is identified by the run the user started:
 		// the original design and the outer options. The level pipeline's
 		// derived options (coarse grid, skip flags) are reconstructed on
 		// resume, never serialized.
-		fingerD = ps.ml.orig
-		opt = &ps.ml.outer
+		fingerD, opt = ps.ml.orig, &ps.ml.outer
 	}
 	ck := &checkpoint{
-		Cur:                ps.cur,
-		Mode:               opt.Mode,
-		Tech:               opt.Tech,
-		GridHint:           opt.GridHint,
-		MaxWLIters:         opt.MaxWLIters,
-		WLOverflowStop:     opt.WLOverflowStop,
-		MaxRouteIters:      opt.MaxRouteIters,
-		StepsPerRouteIter:  opt.StepsPerRouteIter,
-		CongestionPatience: opt.CongestionPatience,
-		SkipLegalize:       opt.SkipLegalize,
-		SkipDetailed:       opt.SkipDetailed,
-
-		GuardCfg: opt.Guard,
+		Cur: ps.cur,
+		Opt: opt.withEnvironment(Options{}),
 
 		NumCells: len(fingerD.Cells),
 		NumNets:  len(fingerD.Nets),
@@ -204,23 +161,10 @@ func (ps *PlacementState) capture() *checkpoint {
 		CongestionHistory: append([]float64(nil), ps.Res.CongestionHistory...),
 	}
 	if ps.ml != nil {
-		ck.ML = true
-		ck.MLLevels = ps.ml.levels
-		ck.MLMaxW = ps.ml.maxW
-		ck.MLTop = ps.ml.topLevel
-		ck.MLLevel = ps.level
-		ck.MLCells = len(d.Cells)
+		ck.ML, ck.MLTop, ck.MLLevel, ck.MLCells = true, ps.ml.topLevel, ps.level, len(d.Cells)
 	}
 	if ps.grd != nil {
 		ck.GuardRetries = ps.grd.retries
-	}
-	if opt.MLWarmStart {
-		ck.MLWarm = true
-		if ps.ml != nil {
-			ck.MLWarmSet = ps.ml.warmSet
-			ck.MLWarmBoost = ps.ml.warmBoost
-			ck.MLWarmOv = ps.ml.warmOverflow
-		}
 	}
 	ck.CellPos = make([]float64, 0, 2*len(d.Cells))
 	for i := range d.Cells {
@@ -238,7 +182,6 @@ func (ps *PlacementState) capture() *checkpoint {
 		ck.LastWLGradL1 = ps.obj.lastWLGradL1
 		ck.Nes = ps.optm.State()
 		ck.Fillers = append([]float64(nil), ps.dens.FillerPos...)
-		ck.MLLambda1Init = ps.obj.lambda1Init
 	}
 	if ck.HasGP && ps.loopReady {
 		ck.HasLoop = true
@@ -264,6 +207,63 @@ func (ps *PlacementState) capture() *checkpoint {
 	}
 	ck.Tel = ps.obs.CaptureState()
 	return ck
+}
+
+// ckRecord is one fixed-layout checkpoint record.
+type ckRecord struct {
+	key    string // the record's first token; "vec <name>" for a vector
+	write  bool   // whether this checkpoint writes it
+	has    *bool  // the presence flag parsing it sets, or nil
+	fields []any  // pointers to its fields, in file order
+}
+
+// orDash is a string field that may be empty; it is written as "-" then.
+type orDash struct{ s *string }
+
+// records lists every fixed-layout record in file order: the one place a
+// record's fields and their order are named. The writer emits the records
+// marked write; the parser fills the fields of each record it reads.
+func (ck *checkpoint) records() []ckRecord {
+	o, t, g := &ck.Opt, &ck.Opt.Tech, &ck.Opt.Guard
+	gp, loop := ck.HasGP, ck.HasLoop
+	momentum, cong := loop && ck.Infl.Scheme == "momentum", loop && ck.HasCong
+	vec := func(name string, write bool, v *[]float64) ckRecord {
+		return ckRecord{"vec " + name, write, nil, []any{v}}
+	}
+	return []ckRecord{
+		{"cursor", true, nil, []any{&ck.Cur.stage, &ck.Cur.iter, &ck.Cur.step}},
+		{"multilevel", ck.ML, &ck.ML, []any{&o.Levels, &o.ClusterMaxSize, &ck.MLTop, &ck.MLLevel, &ck.MLCells}},
+		{"mode", true, nil, []any{&o.Mode}},
+		{"tech", true, nil, []any{&t.MCI, &t.DC, &t.DPA, &t.MomentumAlpha,
+			orDash{&t.InflationScheme}, &t.CongestionThreshold, &t.FixedLambda2, &t.VirtualAtMidpoint}},
+		{"opts", true, nil, []any{&o.GridHint, &o.MaxWLIters, &o.WLOverflowStop, &o.MaxRouteIters,
+			&o.StepsPerRouteIter, &o.CongestionPatience, &o.SkipLegalize, &o.SkipDetailed}},
+		{"guard", g.Enabled(), nil, []any{&g.Policy, &g.MaxRetries, &g.Backoff, &g.CheckEvery, &ck.GuardRetries}},
+		{"design", true, nil, []any{&ck.NumCells, &ck.NumNets, &ck.NumPins, &ck.NumRails,
+			&ck.Die.Lo.X, &ck.Die.Lo.Y, &ck.Die.Hi.X, &ck.Die.Hi.Y}},
+		{"result", true, nil, []any{&ck.WLIters, &ck.RouteIters, &ck.FinalOverflow,
+			&ck.HPWLGlobal, &ck.HPWLLegalized, &ck.LegalizeDisp}},
+		vec("conghist", true, &ck.CongestionHistory),
+		vec("cellpos", true, &ck.CellPos),
+		{"gp", gp, &ck.HasGP, []any{&ck.Gamma, &ck.Lambda1, &ck.Lambda2, &ck.LastWL, &ck.LastOv, &ck.LastWLGradL1}},
+		{"nesterov", gp, nil, []any{&ck.Nes.A, &ck.Nes.First, &ck.Nes.Steps, &ck.Nes.Scale}},
+		vec("nes.u", gp, &ck.Nes.U),
+		vec("nes.v", gp, &ck.Nes.V),
+		vec("nes.vprev", gp, &ck.Nes.VPrev),
+		vec("nes.gprev", gp, &ck.Nes.GPrev),
+		vec("fillers", gp, &ck.Fillers),
+		{"loop", loop, &ck.HasLoop, []any{&ck.BestC, &ck.Stall}},
+		{"infl", loop, nil, []any{&ck.Infl.Scheme, &ck.Infl.AvgPrev, &ck.Infl.T}},
+		vec("infl.r", loop, &ck.Infl.R),
+		vec("infl.dr", momentum, &ck.Infl.DR),
+		vec("infl.cprev", momentum, &ck.Infl.CPrev),
+		vec("bestx", loop, &ck.BestX),
+		vec("pgrho", loop, &ck.PGRho),
+		{"cong", loop, nil, []any{&ck.HasCong}},
+		vec("cong.util", cong, &ck.CongUtil),
+		vec("cong.cong", cong, &ck.CongCong),
+		vec("rtr.pincell", loop, &ck.RtrPinCell),
+	}
 }
 
 // ---- Writing ----
@@ -316,68 +316,10 @@ func writeCheckpoint(w io.Writer, ck *checkpoint) error {
 func writeCheckpointBody(bw *bytes.Buffer, ck *checkpoint) {
 	fmt.Fprintf(bw, "# nmplace checkpoint\n")
 	fmt.Fprintf(bw, "nmckpt %d\n", checkpointVersion)
-	fmt.Fprintf(bw, "cursor %s %d %d\n", ck.Cur.stage, ck.Cur.iter, ck.Cur.step)
-	if ck.ML {
-		fmt.Fprintf(bw, "multilevel %d %d %d %d %d\n",
-			ck.MLLevels, ck.MLMaxW, ck.MLTop, ck.MLLevel, ck.MLCells)
-	}
-	fmt.Fprintf(bw, "mode %d\n", int(ck.Mode))
-	scheme := ck.Tech.InflationScheme
-	if scheme == "" {
-		scheme = "-"
-	}
-	fmt.Fprintf(bw, "tech %s %s %s %g %s %g %g %s\n",
-		b01(ck.Tech.MCI), b01(ck.Tech.DC), b01(ck.Tech.DPA),
-		ck.Tech.MomentumAlpha, scheme, ck.Tech.CongestionThreshold,
-		ck.Tech.FixedLambda2, b01(ck.Tech.VirtualAtMidpoint))
-	fmt.Fprintf(bw, "opts %d %d %g %d %d %d %s %s\n",
-		ck.GridHint, ck.MaxWLIters, ck.WLOverflowStop, ck.MaxRouteIters,
-		ck.StepsPerRouteIter, ck.CongestionPatience,
-		b01(ck.SkipLegalize), b01(ck.SkipDetailed))
-	if ck.GuardCfg.Enabled() {
-		fmt.Fprintf(bw, "guard %s %d %g %d %d\n",
-			ck.GuardCfg.Policy, ck.GuardCfg.MaxRetries, ck.GuardCfg.Backoff,
-			ck.GuardCfg.CheckEvery, ck.GuardRetries)
-	}
-	fmt.Fprintf(bw, "design %d %d %d %d %g %g %g %g\n",
-		ck.NumCells, ck.NumNets, ck.NumPins, ck.NumRails,
-		ck.Die.Lo.X, ck.Die.Lo.Y, ck.Die.Hi.X, ck.Die.Hi.Y)
-	fmt.Fprintf(bw, "result %d %d %g %g %g %g\n",
-		ck.WLIters, ck.RouteIters, ck.FinalOverflow, ck.HPWLGlobal,
-		ck.HPWLLegalized, ck.LegalizeDisp)
-	writeVec(bw, "conghist", ck.CongestionHistory)
-	writeVec(bw, "cellpos", ck.CellPos)
-
-	if ck.HasGP {
-		fmt.Fprintf(bw, "gp %g %g %g %g %g %g\n",
-			ck.Gamma, ck.Lambda1, ck.Lambda2, ck.LastWL, ck.LastOv, ck.LastWLGradL1)
-		fmt.Fprintf(bw, "nesterov %g %s %d %g\n", ck.Nes.A, b01(ck.Nes.First), ck.Nes.Steps, ck.Nes.Scale)
-		writeVec(bw, "nes.u", ck.Nes.U)
-		writeVec(bw, "nes.v", ck.Nes.V)
-		writeVec(bw, "nes.vprev", ck.Nes.VPrev)
-		writeVec(bw, "nes.gprev", ck.Nes.GPrev)
-		writeVec(bw, "fillers", ck.Fillers)
-	}
-	if ck.HasLoop {
-		fmt.Fprintf(bw, "loop %g %d\n", ck.BestC, ck.Stall)
-		fmt.Fprintf(bw, "infl %s %g %d\n", ck.Infl.Scheme, ck.Infl.AvgPrev, ck.Infl.T)
-		writeVec(bw, "infl.r", ck.Infl.R)
-		if ck.Infl.Scheme == "momentum" {
-			writeVec(bw, "infl.dr", ck.Infl.DR)
-			writeVec(bw, "infl.cprev", ck.Infl.CPrev)
+	for _, r := range ck.records() {
+		if r.write {
+			writeRecord(bw, r.key, r.fields)
 		}
-		writeVec(bw, "bestx", ck.BestX)
-		writeVec(bw, "pgrho", ck.PGRho)
-		fmt.Fprintf(bw, "cong %s\n", b01(ck.HasCong))
-		if ck.HasCong {
-			writeVec(bw, "cong.util", ck.CongUtil)
-			writeVec(bw, "cong.cong", ck.CongCong)
-		}
-		writeVec(bw, "rtr.pincell", ck.RtrPinCell)
-	}
-	if ck.MLWarm {
-		fmt.Fprintf(bw, "mlwarm %s %g %g %g\n",
-			b01(ck.MLWarmSet), ck.MLWarmBoost, ck.MLWarmOv, ck.MLLambda1Init)
 	}
 	if ck.Tel != nil {
 		st := ck.Tel
@@ -415,15 +357,45 @@ func b01(v bool) string {
 	return "0"
 }
 
-// writeVec writes one vector record. Each element is the shortest 'g' form
-// that reads back to the same float64, the bytes fmt's " %g" gives.
-func writeVec(bw *bytes.Buffer, name string, v []float64) {
-	fmt.Fprintf(bw, "vec %s %d", name, len(v))
-	for _, x := range v {
-		b := append(bw.AvailableBuffer(), ' ')
-		bw.Write(strconv.AppendFloat(b, x, 'g', -1, 64))
+// writeRecord writes one record line: the key, then each field.
+func writeRecord(bw *bytes.Buffer, key string, fields []any) {
+	b := append(bw.AvailableBuffer(), key...)
+	for _, f := range fields {
+		b = appendField(append(b, ' '), f)
 	}
-	bw.WriteByte('\n')
+	bw.Write(append(b, '\n'))
+}
+
+// appendField is the field encoder. A float is the shortest 'g' form that
+// reads back to the same float64, the bytes fmt's %g gives; a vector is its
+// length, then its elements.
+func appendField(b []byte, f any) []byte {
+	switch f := f.(type) {
+	case *int:
+		return strconv.AppendInt(b, int64(*f), 10)
+	case *Mode:
+		return strconv.AppendInt(b, int64(*f), 10)
+	case *float64:
+		return strconv.AppendFloat(b, *f, 'g', -1, 64)
+	case *bool:
+		return append(b, b01(*f)...)
+	case *string:
+		return append(b, *f...)
+	case orDash:
+		if *f.s == "" {
+			return append(b, '-')
+		}
+		return append(b, *f.s...)
+	case *guard.Policy:
+		return append(b, f.String()...)
+	case *[]float64:
+		b = strconv.AppendInt(b, int64(len(*f)), 10)
+		for _, x := range *f {
+			b = strconv.AppendFloat(append(b, ' '), x, 'g', -1, 64)
+		}
+		return b
+	}
+	panic(fmt.Sprintf("core: checkpoint field of type %T", f))
 }
 
 // ---- Reading ----
@@ -500,6 +472,49 @@ func (p *fieldParser) nextBool() bool {
 	}
 }
 
+// field is the field decoder, appendField's inverse.
+func (p *fieldParser) field(f any) {
+	switch f := f.(type) {
+	case *int:
+		*f = p.nextInt()
+	case *Mode:
+		*f = Mode(p.nextInt())
+	case *float64:
+		*f = p.nextFloat()
+	case *bool:
+		*f = p.nextBool()
+	case *string:
+		*f = p.token()
+	case orDash:
+		if s := p.token(); s != "-" {
+			*f.s = s
+		}
+	case *guard.Policy:
+		pol, err := guard.ParsePolicy(p.token())
+		if err != nil && p.err == nil {
+			p.err = err
+		}
+		*f = pol
+	case *[]float64:
+		n := p.nextInt()
+		// The declared count sizes the allocation; cap it by the tokens
+		// actually on the line so a corrupted count can neither allocate
+		// gigabytes nor spin through a billion empty parses.
+		if rest := len(p.f) - p.i; p.err == nil && (n < 0 || n > rest) {
+			p.err = fmt.Errorf("%s declares %d values, line carries %d", p.what, n, rest)
+		}
+		*f = nil
+		if p.err == nil && n > 0 {
+			*f = make([]float64, n)
+			for k := range *f {
+				(*f)[k] = p.nextFloat()
+			}
+		}
+	default:
+		panic(fmt.Sprintf("core: checkpoint field of type %T", f))
+	}
+}
+
 func (p *fieldParser) done() error {
 	if p.err != nil {
 		return p.err
@@ -556,12 +571,17 @@ func verifyChecksum(data []byte) ([]byte, error) {
 // as corruption, except for a format mismatch: an unsupported version or a
 // record this build does not know. Another build's writer produces those
 // from sound state, and the .prev file it rotated has the same format, so
-// they are plain errors.
+// they are plain errors. An unknown vector name is corruption: every build
+// writes the same vector records.
 func parseCheckpoint(body []byte) (*checkpoint, error) {
 	sc := bufio.NewScanner(bytes.NewReader(body))
 	// Vectors are single lines of 2N floats; allow very long lines.
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
 	ck := &checkpoint{}
+	recs := map[string]ckRecord{}
+	for _, r := range ck.records() {
+		recs[r.key] = r
+	}
 	sawVersion, sawEnd := false, false
 	lineNo := 0
 	for sc.Scan() {
@@ -574,123 +594,18 @@ func parseCheckpoint(body []byte) (*checkpoint, error) {
 			return nil, corruptf("checkpoint line %d: content after end", lineNo)
 		}
 		f := strings.Fields(line)
-		p := &fieldParser{f: f[1:], what: f[0]}
-		switch f[0] {
+		key := f[0]
+		p := &fieldParser{f: f[1:], what: key}
+		if key == "vec" {
+			key += " " + p.token()
+			p.what = key
+		}
+		switch key {
 		case "nmckpt":
 			if v := p.nextInt(); p.err == nil && v != checkpointVersion {
 				return nil, fmt.Errorf("core: checkpoint version %d not supported", v)
 			}
 			sawVersion = true
-		case "cursor":
-			ck.Cur.stage = p.token()
-			ck.Cur.iter = p.nextInt()
-			ck.Cur.step = p.nextInt()
-		case "multilevel":
-			ck.ML = true
-			ck.MLLevels = p.nextInt()
-			ck.MLMaxW = p.nextInt()
-			ck.MLTop = p.nextInt()
-			ck.MLLevel = p.nextInt()
-			ck.MLCells = p.nextInt()
-		case "mode":
-			ck.Mode = Mode(p.nextInt())
-		case "tech":
-			ck.Tech.MCI = p.nextBool()
-			ck.Tech.DC = p.nextBool()
-			ck.Tech.DPA = p.nextBool()
-			ck.Tech.MomentumAlpha = p.nextFloat()
-			if s := p.token(); s != "-" {
-				ck.Tech.InflationScheme = s
-			}
-			ck.Tech.CongestionThreshold = p.nextFloat()
-			ck.Tech.FixedLambda2 = p.nextFloat()
-			ck.Tech.VirtualAtMidpoint = p.nextBool()
-		case "opts":
-			ck.GridHint = p.nextInt()
-			ck.MaxWLIters = p.nextInt()
-			ck.WLOverflowStop = p.nextFloat()
-			ck.MaxRouteIters = p.nextInt()
-			ck.StepsPerRouteIter = p.nextInt()
-			ck.CongestionPatience = p.nextInt()
-			ck.SkipLegalize = p.nextBool()
-			ck.SkipDetailed = p.nextBool()
-		case "guard":
-			pol, perr := guard.ParsePolicy(p.token())
-			if perr != nil && p.err == nil {
-				p.err = perr
-			}
-			ck.GuardCfg.Policy = pol
-			ck.GuardCfg.MaxRetries = p.nextInt()
-			ck.GuardCfg.Backoff = p.nextFloat()
-			ck.GuardCfg.CheckEvery = p.nextInt()
-			ck.GuardRetries = p.nextInt()
-		case "design":
-			ck.NumCells = p.nextInt()
-			ck.NumNets = p.nextInt()
-			ck.NumPins = p.nextInt()
-			ck.NumRails = p.nextInt()
-			lox, loy := p.nextFloat(), p.nextFloat()
-			hix, hiy := p.nextFloat(), p.nextFloat()
-			ck.Die = geom.NewRect(lox, loy, hix, hiy)
-		case "result":
-			ck.WLIters = p.nextInt()
-			ck.RouteIters = p.nextInt()
-			ck.FinalOverflow = p.nextFloat()
-			ck.HPWLGlobal = p.nextFloat()
-			ck.HPWLLegalized = p.nextFloat()
-			ck.LegalizeDisp = p.nextFloat()
-		case "vec":
-			name := p.token()
-			n := p.nextInt()
-			if p.err != nil {
-				return nil, corruptf("checkpoint line %d: %v", lineNo, p.err)
-			}
-			// The declared count sizes the allocation; cap it by the tokens
-			// actually on the line so a corrupted count can neither allocate
-			// gigabytes nor spin through a billion empty parses.
-			if rest := len(p.f) - p.i; n < 0 || n > rest {
-				return nil, corruptf("checkpoint line %d: vec %s declares %d values, line carries %d",
-					lineNo, name, n, rest)
-			}
-			var v []float64
-			if n > 0 {
-				v = make([]float64, 0, n)
-				for k := 0; k < n; k++ {
-					v = append(v, p.nextFloat())
-				}
-			}
-			if err := ck.assignVec(name, v); err != nil {
-				return nil, corruptf("checkpoint line %d: %v", lineNo, err)
-			}
-		case "gp":
-			ck.HasGP = true
-			ck.Gamma = p.nextFloat()
-			ck.Lambda1 = p.nextFloat()
-			ck.Lambda2 = p.nextFloat()
-			ck.LastWL = p.nextFloat()
-			ck.LastOv = p.nextFloat()
-			ck.LastWLGradL1 = p.nextFloat()
-		case "nesterov":
-			ck.Nes.A = p.nextFloat()
-			ck.Nes.First = p.nextBool()
-			ck.Nes.Steps = p.nextInt()
-			ck.Nes.Scale = p.nextFloat()
-		case "loop":
-			ck.HasLoop = true
-			ck.BestC = p.nextFloat()
-			ck.Stall = p.nextInt()
-		case "infl":
-			ck.Infl.Scheme = p.token()
-			ck.Infl.AvgPrev = p.nextFloat()
-			ck.Infl.T = p.nextInt()
-		case "cong":
-			ck.HasCong = p.nextBool()
-		case "mlwarm":
-			ck.MLWarm = true
-			ck.MLWarmSet = p.nextBool()
-			ck.MLWarmBoost = p.nextFloat()
-			ck.MLWarmOv = p.nextFloat()
-			ck.MLLambda1Init = p.nextFloat()
 		case "tel":
 			ck.Tel = &telemetry.ObserverState{}
 			ck.Tel.Seq = p.nextI64()
@@ -744,7 +659,18 @@ func parseCheckpoint(body []byte) (*checkpoint, error) {
 		case "end":
 			sawEnd = true
 		default:
-			return nil, fmt.Errorf("core: checkpoint line %d: unknown record %q (format of another build)", lineNo, f[0])
+			r, ok := recs[key]
+			switch {
+			case !ok && f[0] == "vec":
+				return nil, corruptf("checkpoint line %d: unknown vector %q", lineNo, key[4:])
+			case !ok:
+				return nil, fmt.Errorf("core: checkpoint line %d: unknown record %q (format of another build)", lineNo, f[0])
+			case r.has != nil:
+				*r.has = true
+			}
+			for _, fld := range r.fields {
+				p.field(fld)
+			}
 		}
 		if err := p.done(); err != nil {
 			return nil, corruptf("checkpoint line %d: %v", lineNo, err)
@@ -762,50 +688,14 @@ func parseCheckpoint(body []byte) (*checkpoint, error) {
 	if stageIndex(ck.Cur.stage) >= len(stageOrder) {
 		return nil, corruptf("checkpoint has unknown cursor stage %q", ck.Cur.stage)
 	}
-	if ck.ML && (ck.MLLevels < 2 || ck.MLMaxW < 0 || ck.MLTop < 1 ||
+	o := &ck.Opt
+	if ck.ML && (o.Levels < 2 || o.ClusterMaxSize < 0 || ck.MLTop < 1 ||
 		ck.MLLevel < 0 || ck.MLLevel > ck.MLTop || ck.MLCells <= 0) {
 		return nil, corruptf("checkpoint has inconsistent multilevel record %d %d %d %d %d",
-			ck.MLLevels, ck.MLMaxW, ck.MLTop, ck.MLLevel, ck.MLCells)
+			o.Levels, o.ClusterMaxSize, ck.MLTop, ck.MLLevel, ck.MLCells)
 	}
+	ck.Die = geom.NewRect(ck.Die.Lo.X, ck.Die.Lo.Y, ck.Die.Hi.X, ck.Die.Hi.Y)
 	return ck, nil
-}
-
-func (ck *checkpoint) assignVec(name string, v []float64) error {
-	switch name {
-	case "conghist":
-		ck.CongestionHistory = v
-	case "cellpos":
-		ck.CellPos = v
-	case "nes.u":
-		ck.Nes.U = v
-	case "nes.v":
-		ck.Nes.V = v
-	case "nes.vprev":
-		ck.Nes.VPrev = v
-	case "nes.gprev":
-		ck.Nes.GPrev = v
-	case "fillers":
-		ck.Fillers = v
-	case "infl.r":
-		ck.Infl.R = v
-	case "infl.dr":
-		ck.Infl.DR = v
-	case "infl.cprev":
-		ck.Infl.CPrev = v
-	case "bestx":
-		ck.BestX = v
-	case "pgrho":
-		ck.PGRho = v
-	case "cong.util":
-		ck.CongUtil = v
-	case "cong.cong":
-		ck.CongCong = v
-	case "rtr.pincell":
-		ck.RtrPinCell = v
-	default:
-		return fmt.Errorf("unknown vector %q", name)
-	}
-	return nil
 }
 
 // ---- Resume ----
@@ -814,11 +704,12 @@ func (ck *checkpoint) assignVec(name string, v []float64) error {
 // design the original run was started on (validated against the checkpoint
 // fingerprint) and an Options whose run-defining fields either match the
 // checkpointed ones or are left zero (the checkpoint is then authoritative).
-// Only the environment fields — Workers, Log, Observer, CheckpointPath,
-// CheckpointAfter — are taken from opt unconditionally; any Workers setting
-// yields the identical placement. The Observer, when given, must be fresh:
-// the checkpoint restores the interrupted run's telemetry state into it so
-// the resumed trace is a byte-exact continuation.
+// Only the environment fields — Workers, Log, Observer, the checkpoint
+// settings, BoundaryHook and FaultInjector — are taken from opt
+// unconditionally; any Workers setting yields the identical placement. The
+// Observer, when given, must be fresh: the checkpoint restores the
+// interrupted run's telemetry state into it so the resumed trace is a
+// byte-exact continuation.
 func ResumeContext(ctx context.Context, d *netlist.Design, ckr io.Reader, opt Options) (*Result, error) {
 	ck, err := readCheckpoint(ckr)
 	if err != nil {
@@ -915,13 +806,7 @@ func resumeCheckpoint(ctx context.Context, d *netlist.Design, ck *checkpoint, op
 	if err != nil {
 		return nil, err
 	}
-	if err := validateCheckpointOpts(&merged); err != nil {
-		return nil, err
-	}
-	if err := merged.Guard.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validatePlaceable(d); err != nil {
+	if err := validateRun(d, &merged); err != nil {
 		return nil, err
 	}
 	if ck.ML {
@@ -940,31 +825,7 @@ func resumeCheckpoint(ctx context.Context, d *netlist.Design, ck *checkpoint, op
 // but different is an error — resuming under different placement options
 // could not reproduce the original run.
 func (ck *checkpoint) mergeOptions(opt Options) (Options, error) {
-	merged := Options{
-		Mode:               ck.Mode,
-		Tech:               ck.Tech,
-		GridHint:           ck.GridHint,
-		MaxWLIters:         ck.MaxWLIters,
-		WLOverflowStop:     ck.WLOverflowStop,
-		MaxRouteIters:      ck.MaxRouteIters,
-		StepsPerRouteIter:  ck.StepsPerRouteIter,
-		CongestionPatience: ck.CongestionPatience,
-		SkipLegalize:       ck.SkipLegalize,
-		SkipDetailed:       ck.SkipDetailed,
-		Guard:              ck.GuardCfg,
-		Levels:             ck.MLLevels,
-		ClusterMaxSize:     ck.MLMaxW,
-		MLWarmStart:        ck.MLWarm,
-
-		Workers:                 opt.Workers,
-		Log:                     opt.Log,
-		Observer:                opt.Observer,
-		CheckpointPath:          opt.CheckpointPath,
-		CheckpointAfter:         opt.CheckpointAfter,
-		BoundaryHook:            opt.BoundaryHook,
-		DisableCancelCheckpoint: opt.DisableCancelCheckpoint,
-		FaultInjector:           opt.FaultInjector,
-	}
+	c := &ck.Opt
 	// The checkpoint stores post-setDefaults values, so WLOverflowStop==0
 	// really means threshold zero; re-running setDefaults would turn it
 	// back into 0.12. Map the caller's sentinels the same way setDefaults
@@ -989,32 +850,30 @@ func (ck *checkpoint) mergeOptions(opt Options) (Options, error) {
 	}
 	mismatch := ""
 	switch {
-	case opt.Mode != 0 && opt.Mode != ck.Mode:
+	case opt.Mode != 0 && opt.Mode != c.Mode:
 		mismatch = "Mode"
-	case opt.Tech != (Techniques{}) && opt.Tech != ck.Tech:
+	case opt.Tech != (Techniques{}) && opt.Tech != c.Tech:
 		mismatch = "Tech"
-	case opt.GridHint != 0 && opt.GridHint != ck.GridHint:
+	case opt.GridHint != 0 && opt.GridHint != c.GridHint:
 		mismatch = "GridHint"
-	case opt.MaxWLIters != 0 && opt.MaxWLIters != ck.MaxWLIters:
+	case opt.MaxWLIters != 0 && opt.MaxWLIters != c.MaxWLIters:
 		mismatch = "MaxWLIters"
-	case opt.WLOverflowStop != 0 && wlStop != ck.WLOverflowStop:
+	case opt.WLOverflowStop != 0 && wlStop != c.WLOverflowStop:
 		mismatch = "WLOverflowStop"
-	case opt.MaxRouteIters != 0 && opt.MaxRouteIters != ck.MaxRouteIters:
+	case opt.MaxRouteIters != 0 && opt.MaxRouteIters != c.MaxRouteIters:
 		mismatch = "MaxRouteIters"
-	case opt.StepsPerRouteIter != 0 && opt.StepsPerRouteIter != ck.StepsPerRouteIter:
+	case opt.StepsPerRouteIter != 0 && opt.StepsPerRouteIter != c.StepsPerRouteIter:
 		mismatch = "StepsPerRouteIter"
-	case opt.CongestionPatience != 0 && patience != ck.CongestionPatience:
+	case opt.CongestionPatience != 0 && patience != c.CongestionPatience:
 		mismatch = "CongestionPatience"
-	case opt.SkipLegalize && !ck.SkipLegalize:
+	case opt.SkipLegalize && !c.SkipLegalize:
 		mismatch = "SkipLegalize"
-	case opt.SkipDetailed && !ck.SkipDetailed:
+	case opt.SkipDetailed && !c.SkipDetailed:
 		mismatch = "SkipDetailed"
-	case levels != 0 && levels != ck.MLLevels:
+	case levels != 0 && levels != c.Levels:
 		mismatch = "Levels"
-	case opt.ClusterMaxSize != 0 && maxSize != ck.MLMaxW:
+	case opt.ClusterMaxSize != 0 && maxSize != c.ClusterMaxSize:
 		mismatch = "ClusterMaxSize"
-	case opt.MLWarmStart && !ck.MLWarm:
-		mismatch = "MLWarmStart"
 	}
 	// The checkpoint stores the post-SetDefaults guard config, so apply the
 	// same defaulting to the caller's before comparing.
@@ -1023,14 +882,14 @@ func (ck *checkpoint) mergeOptions(opt Options) (Options, error) {
 		if gcall.Enabled() {
 			gcall.SetDefaults()
 		}
-		if gcall != ck.GuardCfg {
+		if gcall != c.Guard {
 			mismatch = "Guard"
 		}
 	}
 	if mismatch != "" {
 		return Options{}, fmt.Errorf("core: resume: Options.%s differs from the checkpointed run", mismatch)
 	}
-	return merged, nil
+	return c.withEnvironment(opt), nil
 }
 
 // validateDesign checks the caller's design against the checkpoint's
@@ -1073,7 +932,7 @@ func (ck *checkpoint) restoreInto(d *netlist.Design, opt Options, level int, ml 
 		level: level,
 		ml:    ml,
 		Res: &Result{
-			Mode:              ck.Mode,
+			Mode:              ck.Opt.Mode,
 			WLIters:           ck.WLIters,
 			RouteIters:        ck.RouteIters,
 			FinalOverflow:     ck.FinalOverflow,
@@ -1115,7 +974,6 @@ func (ck *checkpoint) restoreInto(d *netlist.Design, opt Options, level int, ml 
 		// One Eval per Step, so the restored eval count — which indexes the
 		// WA-gradient fault injection — is the serialized step count.
 		ps.obj.evals = ck.Nes.Steps
-		ps.obj.lambda1Init = ck.MLLambda1Init
 		if ps.grd != nil {
 			ps.grd.retries = ck.GuardRetries
 		}
@@ -1140,22 +998,13 @@ func (ck *checkpoint) restoreInto(d *netlist.Design, opt Options, level int, ml 
 // congestion model's field (re-derived from the serialized utilization by
 // the same deterministic Poisson solve the original run performed).
 func (ps *PlacementState) restoreLoop(ck *checkpoint) error {
-	d, opt := ps.D, &ps.Opt
-	inf, err := newInflator(d, opt)
-	if err != nil {
+	if err := ps.buildLoopModels(); err != nil {
 		return err
 	}
-	if err := inflation.Restore(inf, ck.Infl); err != nil {
+	if err := inflation.Restore(ps.inf, ck.Infl); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
-	ps.inf = inf
-	ps.bins = pgrail.BinGrid{NX: ps.dens.NX, NY: ps.dens.NY, Die: d.Die,
-		BinW: ps.dens.BinW(), BinH: ps.dens.BinH()}
-	ps.dynamicPG = opt.Mode == ModeOurs && opt.Tech.DPA
-	if ps.dynamicPG {
-		ps.selected = pgrail.SelectRails(d)
-	}
-	if err := ps.dens.SetInflations(inf.Ratios()); err != nil {
+	if err := ps.dens.SetInflations(ps.inf.Ratios()); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
 	if len(ck.PGRho) != ps.dens.NX*ps.dens.NY {
@@ -1190,7 +1039,7 @@ func (ps *PlacementState) restoreLoop(ck *checkpoint) error {
 		for i, v := range ck.RtrPinCell {
 			sig[i] = int32(v)
 		}
-		ps.rtr = route.NewRouter(d, ps.grid)
+		ps.rtr = route.NewRouter(ps.D, ps.grid)
 		if err := ps.rtr.RestoreDecomposition(sig); err != nil {
 			return fmt.Errorf("core: resume: %w", err)
 		}

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/density"
+	"repro/internal/guard"
+	"repro/internal/guard/inject"
 	"repro/internal/nesterov"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -279,5 +283,79 @@ func BenchmarkInnerStepWithObserver(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		optm.Step(obj)
+	}
+}
+
+// TestFailedRunEndsEverySpanOnce: a run that fails inside the routability
+// stage still writes a well-formed trace — every span that starts ends
+// exactly once — whether the failure is in the loop prologue (an unknown
+// inflation scheme), a cancellation between Nesterov steps, or a guard
+// violation in a Nesterov step.
+func TestFailedRunEndsEverySpanOnce(t *testing.T) {
+	ref, err := Place(synth.MustGenerate("tiny_hot"), fastOpts(ModeOurs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string // want: a substring of the run's error
+		set        func(*Options, context.CancelFunc)
+	}{
+		{"prologue", "unknown inflation scheme", func(o *Options, _ context.CancelFunc) {
+			o.Tech.InflationScheme = "quantum"
+		}},
+		{"cancel", "context canceled", func(o *Options, cancel context.CancelFunc) {
+			o.Log = &cancelOnLog{cancel: cancel, trigger: "route iter 1:"}
+		}},
+		{"guard", "at routability", func(o *Options, _ context.CancelFunc) {
+			o.Guard = guard.Config{Policy: guard.Fail}
+			o.FaultInjector = inject.New(42).Arm(inject.WAGradNaN, ref.WLIters+2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var trace bytes.Buffer
+			obs := telemetry.NewObserver(&trace)
+			opt := fastOpts(ModeOurs)
+			opt.Observer = obs
+			tc.set(&opt, cancel)
+			_, err := PlaceContext(ctx, synth.MustGenerate("tiny_hot"), opt)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run returned %v, want an error containing %q", err, tc.want)
+			}
+			if err := obs.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			names, ends := map[int]string{}, map[int]int{}
+			for _, line := range bytes.Split(bytes.TrimSpace(trace.Bytes()), []byte("\n")) {
+				var ev struct {
+					Ev   string `json:"ev"`
+					Span int    `json:"span"`
+					Name string `json:"name"`
+				}
+				if err := json.Unmarshal(line, &ev); err != nil {
+					t.Fatalf("trace line %q: %v", line, err)
+				}
+				switch ev.Ev {
+				case "span_start":
+					names[ev.Span] = ev.Name
+				case "span_end":
+					ends[ev.Span]++
+				}
+			}
+			if len(names) == 0 {
+				t.Fatal("trace has no spans")
+			}
+			for id, name := range names {
+				if ends[id] != 1 {
+					t.Errorf("span %d (%s) ended %d times, want 1", id, name, ends[id])
+				}
+			}
+			for id, n := range ends {
+				if _, ok := names[id]; !ok {
+					t.Errorf("span %d ended %d times but never started", id, n)
+				}
+			}
+		})
 	}
 }
