@@ -17,6 +17,7 @@ package nmplace
 // runs the full 20-design suite.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/congestion"
 	"repro/internal/core"
 	"repro/internal/density"
+	"repro/internal/designio"
 	"repro/internal/poisson"
 	"repro/internal/route"
 	"repro/internal/synth"
@@ -158,6 +160,47 @@ func TestBenchRegression(t *testing.T) {
 			t.Errorf("metric %s drifted: baseline %g, got %g (|Δ| %g > %g)",
 				want.Name, want.Value, g.Value, diff, limit)
 		}
+	}
+}
+
+// TestLargeDesignIdenticalAcrossWorkerCounts places the largeBench leg at
+// Workers 4 and at Workers 1: the placements and canonical traces must be
+// bit-identical, the determinism contract at 100k cells across the coarsen
+// → place → interpolate → refine cycle. Behind the same gate as
+// TestBenchRegression (about 35 s per run on 2 vCPUs):
+//
+//	BENCH_REGRESSION=1 go test -run TestLargeDesignIdenticalAcrossWorkerCounts .
+func TestLargeDesignIdenticalAcrossWorkerCounts(t *testing.T) {
+	if os.Getenv("BENCH_REGRESSION") != "1" {
+		t.Skip("set BENCH_REGRESSION=1 to place the 100k-cell design twice")
+	}
+	var place, canon [2][]byte
+	for i, workers := range []int{4, 1} {
+		d := synth.MustGenerate(largeBench.design)
+		var trace, out bytes.Buffer
+		obs := telemetry.NewObserver(&trace)
+		opt := core.Options{Mode: core.ModeOurs, Tech: core.AllTechniques(), Workers: workers, Observer: obs,
+			Levels: largeBench.levels, MaxWLIters: largeBench.wlIters, MaxRouteIters: largeBench.rIters}
+		if _, err := core.Place(d, opt); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if err := obs.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := designio.Write(&out, d); err != nil {
+			t.Fatal(err)
+		}
+		c, err := telemetry.StripTimings(trace.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		place[i], canon[i] = out.Bytes(), c
+	}
+	if !bytes.Equal(place[0], place[1]) {
+		t.Error("placements differ between Workers 4 and Workers 1")
+	}
+	if !bytes.Equal(canon[0], canon[1]) {
+		t.Error("canonical traces differ between Workers 4 and Workers 1")
 	}
 }
 

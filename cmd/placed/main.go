@@ -20,8 +20,9 @@
 // killed server process can be restarted over the same directory and its
 // jobs migrate: they resume from their last checkpoint and still produce a
 // final placement and canonical trace byte-identical to an uninterrupted
-// CLI run (the repo's byte-identity contract; verified by CI's placed-smoke
-// and chaos-server jobs).
+// CLI run (the repo's byte-identity contract; TestDaemonKillMigratesJob
+// SIGKILLs this command mid-job and restarts it, and internal/jobs' tests
+// cover preemption, pauses and killed workers).
 //
 //	placed -addr localhost:9090 -state /var/lib/placed [-capacity N]
 //	       [-quantum K] [-persist-every K] [-retries N] [-backoff D]
@@ -44,7 +45,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -79,8 +79,6 @@ func run() (code int) {
 	minFreeMB := flag.Int64("min-free-mb", 64, "shed submissions when the state dir has less than this many MiB free (negative: disable)")
 	rate := flag.Float64("rate", 5, "per-client submissions per second (negative: unlimited)")
 	burst := flag.Int("burst", 10, "per-client submission burst")
-	inject := flag.String("inject", "", "comma-separated worker fault specs, e.g. worker_crash:3 (chaos testing)")
-	injectSeed := flag.Int64("inject-seed", 1, "fault injection seed")
 	verbose := flag.Bool("v", false, "log job lifecycle events")
 	flag.Parse()
 	if *state == "" {
@@ -104,14 +102,6 @@ func run() (code int) {
 		StallTimeout:  *stallTimeout,
 		MaxQueued:     *maxQueued,
 		MinFreeBytes:  *minFreeMB << 20,
-		FaultSeed:     *injectSeed,
-	}
-	if *inject != "" {
-		for _, spec := range strings.Split(*inject, ",") {
-			if spec = strings.TrimSpace(spec); spec != "" {
-				cfg.FaultSpecs = append(cfg.FaultSpecs, spec)
-			}
-		}
 	}
 	if *verbose {
 		cfg.Log = os.Stderr

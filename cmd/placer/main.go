@@ -83,7 +83,6 @@ import (
 	"repro/internal/dashboard"
 	"repro/internal/designio"
 	"repro/internal/guard"
-	"repro/internal/legalize"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
@@ -150,22 +149,16 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	opt := core.Options{GridHint: *grid, MaxRouteIters: *riters, MaxWLIters: *wliters, Workers: *workers,
+	m, err := core.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	opt := core.Options{Mode: m, GridHint: *grid, MaxRouteIters: *riters, MaxWLIters: *wliters, Workers: *workers,
 		Levels: *levels, ClusterMaxSize: *clusterMax,
 		Tech:           core.Techniques{MCI: *mci, DC: *dc, DPA: *dpa},
 		CheckpointPath: *ckptPath, CheckpointAfter: *ckptAfter,
 		Guard: guard.Config{Policy: guardPolicy, MaxRetries: *guardRetries}}
-	switch *mode {
-	case "xplace":
-		opt.Mode = core.ModeWirelength
-	case "xplace-route":
-		opt.Mode = core.ModeBaselineRoute
-	case "ours":
-		opt.Mode = core.ModeOurs
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		return 2
-	}
 	if *verbose {
 		opt.Log = os.Stderr
 	}
@@ -238,42 +231,33 @@ func run() (code int) {
 			hub.Close() // live SSE subscribers receive eof
 		}
 	}
-	switch {
-	case errors.Is(err, core.ErrCheckpointed):
+	if errors.Is(err, core.ErrCheckpointed) {
 		// Scheduled stop: the trace stream stays un-flushed (no metric dump)
 		// so the resumed run's events concatenate into one continuous trace.
 		closeTrace()
 		fmt.Fprintf(os.Stderr, "checkpointed at %q: state written to %s\n",
 			*ckptAfter, *ckptPath)
 		return 0
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+	}
+	if code := core.ExitCode(err); code != 0 {
 		closeTrace()
-		fmt.Fprintf(os.Stderr, "run cancelled (%v) after %.2fs", err, res.PlaceTime.Seconds())
-		if *ckptPath != "" {
-			fmt.Fprintf(os.Stderr, "; state written to %s — rerun with -resume to continue", *ckptPath)
+		switch code {
+		case core.ExitCancelled:
+			fmt.Fprintf(os.Stderr, "run cancelled (%v) after %.2fs", err, res.PlaceTime.Seconds())
+			if *ckptPath != "" {
+				fmt.Fprintf(os.Stderr, "; state written to %s — rerun with -resume to continue", *ckptPath)
+			}
+			fmt.Fprintln(os.Stderr)
+		case core.ExitCorrupt:
+			fmt.Fprintf(os.Stderr, "placer: corrupted checkpoint: %v\n", err)
+		case core.ExitDegenerate:
+			fmt.Fprintf(os.Stderr, "placer: %v\n", err)
+		case core.ExitGuard:
+			fmt.Fprintf(os.Stderr, "placer: numeric guard failure: %v\n", err)
+		default:
+			fmt.Fprintln(os.Stderr, err)
 		}
-		fmt.Fprintln(os.Stderr)
-		return 3
-	case errors.Is(err, core.ErrCheckpointCorrupt):
-		closeTrace()
-		fmt.Fprintf(os.Stderr, "placer: corrupted checkpoint: %v\n", err)
-		return 4
-	case errors.Is(err, core.ErrDegenerateDesign):
-		closeTrace()
-		fmt.Fprintf(os.Stderr, "placer: %v\n", err)
-		return 5
-	case errors.Is(err, guard.ErrBudgetExhausted), errors.Is(err, guard.ErrViolation):
-		closeTrace()
-		fmt.Fprintf(os.Stderr, "placer: numeric guard failure: %v\n", err)
-		return 6
-	case errors.As(err, new(*legalize.NoRoomError)):
-		closeTrace()
-		fmt.Fprintln(os.Stderr, err)
-		return 8
-	case err != nil:
-		closeTrace()
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return code
 	}
 	if obs != nil {
 		if hub != nil {
@@ -335,9 +319,11 @@ func run() (code int) {
 	}
 
 	if *serveAddr != "" {
-		fmt.Fprintf(os.Stderr, "run complete; dashboard still serving — interrupt to exit\n")
+		// Subscribe before announcing, so a signal sent on the announcement
+		// exits cleanly instead of killing the process.
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+		fmt.Fprintf(os.Stderr, "run complete; dashboard still serving — interrupt to exit\n")
 		<-ch
 	}
 	return 0

@@ -2,13 +2,13 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/testutil"
 )
 
 // TestMain doubles the test binary as the placer: a child started with
@@ -26,23 +26,9 @@ func TestMain(m *testing.M) {
 // exits with code want.
 func placer(t *testing.T, dir string, want int, args ...string) {
 	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatalf("locate test binary: %v", err)
-	}
-	cmd := exec.Command(exe, args...)
-	cmd.Args[0] = "placer"
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	code := 0
-	var exit *exec.ExitError
-	if errors.As(err, &exit) {
-		code = exit.ExitCode()
-	} else if err != nil {
-		t.Fatalf("placer %v: %v", args, err)
-	}
-	if code != want {
-		t.Fatalf("placer %v exited %d, want %d; output:\n%s", args, code, want, out)
+	p := testutil.Start(t, dir, "placer", args...)
+	if code := p.Wait(t); code != want {
+		t.Fatalf("placer %v exited %d, want %d; output:\n%s", args, code, want, p.Output())
 	}
 }
 
@@ -53,6 +39,17 @@ func readFile(t *testing.T, dir, name string) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// canon is the trace with its wall-clock content stripped, as
+// tracereport -canon prints it.
+func canon(t *testing.T, trace []byte) []byte {
+	t.Helper()
+	c, err := telemetry.StripTimings(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestResumeAcrossProcesses is the checkpoint/resume contract through the
@@ -78,15 +75,8 @@ func TestResumeAcrossProcesses(t *testing.T) {
 	if !bytes.Equal(readFile(t, dir, "resumed.place"), full) {
 		t.Error("resumed placement differs from the uninterrupted one")
 	}
-	want, err := telemetry.StripTimings(readFile(t, dir, "full.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := telemetry.StripTimings(append(readFile(t, dir, "part1.jsonl"), readFile(t, dir, "part2.jsonl")...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	want := canon(t, readFile(t, dir, "full.jsonl"))
+	if got := canon(t, append(readFile(t, dir, "part1.jsonl"), readFile(t, dir, "part2.jsonl")...)); !bytes.Equal(got, want) {
 		t.Error("concatenated canonical trace differs from the uninterrupted one")
 	}
 
@@ -117,4 +107,46 @@ func TestResumeAcrossProcesses(t *testing.T) {
 // usage error, not a silently ignored option.
 func TestRemovedFlagIsUsageError(t *testing.T) {
 	placer(t, t.TempDir(), 2, "-design", "tiny_hot", "-levels", "2", "-ml-warm-start")
+}
+
+// TestServeKeepsTraceCanonical is the live-dashboard contract through the
+// CLI on tiny_hot. placer -serve serves the page, streams the run over SSE
+// until the eof marker and then the latest congestion heatmap as a PNG; the
+// trace it writes is canonically identical to a plain run's, and after the
+// run it serves on until SIGTERM ends it with exit 0.
+func TestServeKeepsTraceCanonical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("placement runs in child processes; skipped in -short")
+	}
+	dir := t.TempDir()
+	design := []string{"-design", "tiny_hot", "-mode", "ours", "-workers", "2"}
+	with := func(args ...string) []string { return append(append([]string(nil), design...), args...) }
+
+	placer(t, dir, 0, with("-trace", "ref.jsonl")...)
+	p := testutil.Start(t, dir, "placer", with("-trace", "live.jsonl", "-serve", "127.0.0.1:0")...)
+	url := p.URL(t)
+	if page := testutil.Get(t, url+"/"); !bytes.Contains(page, []byte("EventSource")) {
+		t.Error("dashboard page has no EventSource")
+	}
+	// The stream follows the run and ends once the finished run closes it.
+	events := testutil.Get(t, url+"/events")
+	if !bytes.Contains(events, []byte(`data: {"seq"`)) {
+		t.Error("event stream carries no trace events")
+	}
+	if !bytes.HasSuffix(events, []byte("event: eof\ndata: {}\n\n")) {
+		t.Errorf("event stream does not end with the eof marker: ...%q", events[max(0, len(events)-80):])
+	}
+	if heat := testutil.Get(t, url+"/heatmap"); !bytes.HasPrefix(heat, []byte("\x89PNG\r\n\x1a\n")) {
+		t.Error("/heatmap is not a PNG")
+	}
+	p.WaitLine(t, "run complete")
+	if err := p.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if code := p.Wait(t); code != 0 {
+		t.Errorf("placer -serve exited %d on SIGTERM, want 0; output:\n%s", code, p.Output())
+	}
+	if !bytes.Equal(canon(t, readFile(t, dir, "live.jsonl")), canon(t, readFile(t, dir, "ref.jsonl"))) {
+		t.Error("canonical trace written under -serve differs from the plain run's")
+	}
 }

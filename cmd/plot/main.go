@@ -30,19 +30,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch *mode {
-	case "none":
-	case "xplace":
-		_, err = core.Place(d, core.Options{Mode: core.ModeWirelength})
-	case "xplace-route":
-		_, err = core.Place(d, core.Options{Mode: core.ModeBaselineRoute})
-	case "ours":
-		_, err = core.Place(d, core.Options{Mode: core.ModeOurs, Tech: core.AllTechniques()})
-	default:
-		log.Fatalf("unknown mode %q", *mode)
-	}
-	if err != nil {
-		log.Fatal(err)
+	if *mode != "none" {
+		// The techniques only switch inside ModeOurs; the other modes ignore them.
+		m, err := core.ParseMode(*mode)
+		if err == nil {
+			_, err = core.Place(d, core.Options{Mode: m, Tech: core.AllTechniques()})
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	opt := plot.Options{DrawCells: *cells, DrawRails: *rails}

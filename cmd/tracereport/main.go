@@ -12,8 +12,8 @@
 // With -canon the trace is instead canonicalized (telemetry.StripTimings:
 // durations, timing events and volatile metrics removed) and written to
 // stdout verbatim — two runs of the same deterministic placement produce
-// byte-identical -canon output, which the CI interrupt-resume and
-// dashboard-smoke jobs diff.
+// byte-identical -canon output (the tests compare the same canonical form
+// through telemetry.StripTimings).
 //
 // With -diff two traces are compared (report.Compare): per-stage timing
 // deltas, per-metric final-value deltas and iteration-count drift. The

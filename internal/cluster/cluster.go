@@ -372,24 +372,3 @@ func (m *Map) Interpolate() {
 	}
 	m.Fine.ClampToDie()
 }
-
-// PushPositions copies the fine design's current member positions up into
-// the coarse design as area-weighted centroids (the inverse of Interpolate,
-// used when a hierarchy is rebuilt around an already-placed fine level).
-func (m *Map) PushPositions() {
-	for c := range m.Members {
-		cc := &m.Coarse.Cells[c]
-		if !cc.Movable() {
-			continue
-		}
-		var area, cx, cy float64
-		for _, i := range m.Members[c] {
-			cell := &m.Fine.Cells[i]
-			a := cell.Area()
-			area += a
-			cx += a * cell.X
-			cy += a * cell.Y
-		}
-		cc.X, cc.Y = cx/area, cy/area
-	}
-}

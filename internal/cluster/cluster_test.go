@@ -211,44 +211,6 @@ func TestInterpolateSpreads(t *testing.T) {
 	}
 }
 
-// TestPushPositions checks PushPositions computes the exact area-weighted
-// centroid of the current fine member positions.
-func TestPushPositions(t *testing.T) {
-	d := testDesign(t, "tiny_open")
-	m, err := Coarsen(d, nil, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	die := d.Die
-	for i := range m.Coarse.Cells {
-		c := &m.Coarse.Cells[i]
-		if c.Movable() {
-			c.X = die.Lo.X + 0.5*die.W()
-			c.Y = die.Lo.Y + 0.5*die.H()
-		}
-	}
-	m.Interpolate()
-	m.PushPositions()
-	for c, ms := range m.Members {
-		cc := &m.Coarse.Cells[c]
-		if !cc.Movable() {
-			continue
-		}
-		var area, cx, cy float64
-		for _, i := range ms {
-			a := d.Cells[i].Area()
-			area += a
-			cx += a * d.Cells[i].X
-			cy += a * d.Cells[i].Y
-		}
-		cx /= area
-		cy /= area
-		if dx, dy := cc.X-cx, cc.Y-cy; dx > 1e-9 || dx < -1e-9 || dy > 1e-9 || dy < -1e-9 {
-			t.Fatalf("cluster %d centroid off by (%g, %g)", c, dx, dy)
-		}
-	}
-}
-
 func TestHierarchyRejectsBadLevels(t *testing.T) {
 	d := testDesign(t, "tiny_open")
 	if _, err := Hierarchy(d, 1, 0); err == nil {

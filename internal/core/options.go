@@ -46,6 +46,17 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String: it maps the mode name that
+// cmd/placer's -mode flag and a job spec's "mode" field take to its Mode.
+func ParseMode(name string) (Mode, error) {
+	for m := ModeWirelength; m <= ModeOurs; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", name)
+}
+
 // Techniques toggles the paper's three contributions inside ModeOurs,
 // mirroring Table II's MCI / DC / DPA columns, plus the extra ablation knobs
 // indexed in DESIGN.md.

@@ -41,6 +41,7 @@ import (
 	"repro/internal/density"
 	"repro/internal/detailed"
 	"repro/internal/eval"
+	"repro/internal/guard"
 	"repro/internal/inflation"
 	"repro/internal/legalize"
 	"repro/internal/nesterov"
@@ -58,6 +59,39 @@ import (
 // failure: the partial Result is valid as far as the run got, and resuming
 // from the written checkpoint completes the run byte-identically.
 var ErrCheckpointed = errors.New("core: run stopped at scheduled checkpoint")
+
+// Exit codes of a failed run: the contract cmd/placer and the placed
+// worker share (DESIGN.md §9). Code 2 (usage) belongs to flag parsing, and
+// each command picks its own code for ErrCheckpointed.
+const (
+	ExitError      = 1 // anything unclassified
+	ExitCancelled  = 3 // context cancelled or deadline exceeded
+	ExitCorrupt    = 4 // ErrCheckpointCorrupt
+	ExitDegenerate = 5 // ErrDegenerateDesign
+	ExitGuard      = 6 // guard violation, or the recovery budget exhausted
+	ExitNoRoom     = 8 // legalization found no room for a cell
+)
+
+// ExitCode classifies a run error for the process exit status: 0 for nil,
+// otherwise one of the Exit* codes. Callers handle ErrCheckpointed first.
+func ExitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return ExitCancelled
+	case errors.Is(err, ErrCheckpointCorrupt):
+		return ExitCorrupt
+	case errors.Is(err, ErrDegenerateDesign):
+		return ExitDegenerate
+	case errors.Is(err, guard.ErrBudgetExhausted), errors.Is(err, guard.ErrViolation):
+		return ExitGuard
+	case errors.As(err, new(*legalize.NoRoomError)):
+		return ExitNoRoom
+	default:
+		return ExitError
+	}
+}
 
 // BoundaryAction is what Options.BoundaryHook tells the pipeline to do at a
 // checkpoint boundary. See the field's documentation for the semantics.

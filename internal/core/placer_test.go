@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/guard"
 	"repro/internal/legalize"
 	"repro/internal/synth"
 )
@@ -217,6 +221,41 @@ func TestModeString(t *testing.T) {
 	if ModeWirelength.String() != "xplace" || ModeBaselineRoute.String() != "xplace-route" ||
 		ModeOurs.String() != "ours" || Mode(99).String() != "unknown" {
 		t.Errorf("mode strings wrong")
+	}
+	for _, m := range []Mode{ModeWirelength, ModeBaselineRoute, ModeOurs} {
+		if got, err := ParseMode(m.String()); got != m || err != nil {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"", "unknown", "none", "Ours"} {
+		if _, err := ParseMode(name); err == nil || err.Error() != fmt.Sprintf("unknown mode %q", name) {
+			t.Errorf("ParseMode(%q) error = %v, want unknown mode", name, err)
+		}
+	}
+}
+
+// TestExitCode maps one error of each class, wrapped as the pipeline wraps
+// it, to the exit code cmd/placer and the placed worker both return.
+func TestExitCode(t *testing.T) {
+	wrap := func(err error) error { return fmt.Errorf("stage: %w", err) }
+	for _, c := range []struct {
+		err  error
+		want int
+	}{
+		{nil, 0},
+		{wrap(context.Canceled), ExitCancelled},
+		{wrap(context.DeadlineExceeded), ExitCancelled},
+		{corruptf("crc mismatch"), ExitCorrupt},
+		{wrap(ErrDegenerateDesign), ExitDegenerate},
+		{wrap(guard.ErrViolation), ExitGuard},
+		{wrap(guard.ErrBudgetExhausted), ExitGuard},
+		{wrap(&legalize.NoRoomError{Cell: 3, Name: "c3", W: 2}), ExitNoRoom},
+		{errors.New("state dir: disk full"), ExitError},
+		{ErrCheckpointed, ExitError}, // each caller handles it first
+	} {
+		if got := ExitCode(c.err); got != c.want {
+			t.Errorf("ExitCode(%v) = %d, want %d", c.err, got, c.want)
+		}
 	}
 }
 

@@ -568,11 +568,12 @@ func verifyChecksum(data []byte) ([]byte, error) {
 
 // parseCheckpoint parses the checksummed checkpoint body. A failure here
 // means the content is malformed despite a valid checksum and is reported
-// as corruption, except for a format mismatch: an unsupported version or a
-// record this build does not know. Another build's writer produces those
-// from sound state, and the .prev file it rotated has the same format, so
-// they are plain errors. An unknown vector name is corruption: every build
-// writes the same vector records.
+// as corruption, except for a format mismatch: an unsupported version, a
+// record this build does not know, or the lack of one this build writes
+// for the state parsed. Another build's writer produces those from sound
+// state, and the .prev file it rotated has the same format, so they are
+// plain errors. An unknown vector name is corruption: every build writes
+// the same vector records.
 func parseCheckpoint(body []byte) (*checkpoint, error) {
 	sc := bufio.NewScanner(bytes.NewReader(body))
 	// Vectors are single lines of 2N floats; allow very long lines.
@@ -583,6 +584,7 @@ func parseCheckpoint(body []byte) (*checkpoint, error) {
 		recs[r.key] = r
 	}
 	sawVersion, sawEnd := false, false
+	seen := map[string]bool{}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -668,6 +670,7 @@ func parseCheckpoint(body []byte) (*checkpoint, error) {
 			case r.has != nil:
 				*r.has = true
 			}
+			seen[key] = true
 			for _, fld := range r.fields {
 				p.field(fld)
 			}
@@ -684,6 +687,13 @@ func parseCheckpoint(body []byte) (*checkpoint, error) {
 	}
 	if !sawEnd {
 		return nil, corruptf("truncated checkpoint (missing end record)")
+	}
+	// Every record the writer would emit for this state must be here: a
+	// record left at its zero value does not survive a rewrite.
+	for _, r := range ck.records() {
+		if r.write && !seen[r.key] {
+			return nil, fmt.Errorf("core: checkpoint lacks the %q record (format of another build)", r.key)
+		}
 	}
 	if stageIndex(ck.Cur.stage) >= len(stageOrder) {
 		return nil, corruptf("checkpoint has unknown cursor stage %q", ck.Cur.stage)

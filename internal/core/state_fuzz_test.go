@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/guard"
 	"repro/internal/synth"
+	"repro/internal/telemetry"
 )
 
 // seedCheckpoint runs a minimal placement to the cheapest scheduled stop and
@@ -76,13 +78,16 @@ func TestCheckpointMalformedInputs(t *testing.T) {
 
 	// Format mismatches, CRC-valid (the footer is rebuilt) — not corruption:
 	// a .prev fallback must not mask a version skew or another build's
-	// records.
+	// record set.
 	body := raw[:bytes.LastIndex(raw, []byte("crc "))]
 	end := bytes.LastIndex(body, []byte("end\n"))
 	foreign := withCRC(append(append(append([]byte(nil), body[:end]...), "predict 1 0.5\n"...), body[end:]...))
 	for name, data := range map[string][]byte{
 		"version 99":     withCRC(bytes.Replace(body, []byte("nmckpt 2\n"), []byte("nmckpt 99\n"), 1)),
 		"unknown record": foreign,
+		// A rewrite would put the record back with zero fields: not the
+		// checkpoint that was read.
+		"missing record": withCRC(bytes.Replace(body, []byte("\nresult "), []byte("\n# result "), 1)),
 	} {
 		if _, err := readCheckpoint(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: checkpoint accepted", name)
@@ -118,22 +123,27 @@ func withCRC(body []byte) []byte {
 }
 
 // FuzzReadCheckpoint: the parser must never panic on arbitrary bytes, and
-// anything it accepts must survive a write→reparse round trip.
+// anything it accepts must survive a write→reparse round trip. Each input
+// is a checkpoint body that gets its crc footer before the read: a mutated
+// file would almost never match its footer, and verifyChecksum would reject
+// it before parseCheckpoint saw a byte (TestCheckpointMalformedInputs
+// covers the footer). The seed is compactBody's, not the 39 KB file: every
+// exec and every minimization step parses the whole input.
 func FuzzReadCheckpoint(f *testing.F) {
 	// Prefer the checked-in seed: every fuzz worker process replays this
 	// setup, and generating a checkpoint means running a placement.
-	if raw, err := os.ReadFile(filepath.Join("testdata", "seed.ckpt")); err == nil {
-		f.Add(raw)
-	} else {
-		f.Add(seedCheckpoint(f, f.TempDir()))
+	raw, err := os.ReadFile(filepath.Join("testdata", "seed.ckpt"))
+	if err != nil {
+		raw = seedCheckpoint(f, f.TempDir())
 	}
+	f.Add(compactBody(f, raw))
 	f.Add([]byte(""))
 	f.Add([]byte("nmckpt 2\n"))
-	f.Add([]byte("nmckpt 2\nend\ncrc 00000000\n"))
+	f.Add([]byte("nmckpt 2\nend\n"))
 	f.Add([]byte("not a checkpoint\n"))
-	f.Add([]byte("nmckpt 2\nvec u 3 0 1 2\nend\ncrc ffffffff\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := readCheckpoint(bytes.NewReader(data))
+	f.Add([]byte("nmckpt 2\nvec u 3 0 1 2\nend\n"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ck, err := readCheckpoint(bytes.NewReader(withCRC(body)))
 		if err != nil {
 			return // rejection (typed or not) is fine; panicking is not
 		}
@@ -145,4 +155,37 @@ func FuzzReadCheckpoint(f *testing.F) {
 			t.Fatalf("re-serialized checkpoint does not reparse: %v", err)
 		}
 	})
+}
+
+// compactBody rewrites the checkpoint raw as a body that carries every
+// record kind — raw's own plus the multilevel, guard, routability-loop and
+// telemetry ones — with each vector cut to two values, so mutations reach
+// every record's decoder without wading through kilobytes of floats.
+func compactBody(tb testing.TB, raw []byte) []byte {
+	tb.Helper()
+	ck, err := readCheckpoint(bytes.NewReader(raw))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ck.Tel = &telemetry.ObserverState{Seq: 9, NextSpanID: 2,
+		OpenSpans: []telemetry.SpanState{{ID: 1, Name: "place"}},
+		Stages:    []telemetry.StageTiming{{Name: "setup", Count: 1, Total: 5}},
+		Metrics: []telemetry.MetricState{{Kind: "counter", Name: "c", Counter: 1},
+			{Kind: "gauge", Name: "g", GaugeSet: true, Gauge: 0.5},
+			{Kind: "histogram", Name: "h", Count: 1, Sum: 1, Min: 1, Max: 1, Buckets: make([]int64, telemetry.HistogramBuckets)}}}
+	ck.ML, ck.Opt.Levels, ck.MLTop, ck.MLLevel, ck.MLCells = true, 2, 1, 1, 2
+	ck.Opt.Guard.Policy = guard.Recover
+	ck.HasGP, ck.HasLoop, ck.HasCong, ck.Infl.Scheme = true, true, true, "momentum"
+	for _, r := range ck.records() {
+		for _, fld := range r.fields {
+			if v, ok := fld.(*[]float64); ok {
+				*v = []float64{1, 2}
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := writeCheckpoint(&buf, ck); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()[:bytes.LastIndex(buf.Bytes(), []byte("crc "))]
 }

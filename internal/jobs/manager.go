@@ -510,13 +510,28 @@ func (m *Manager) scheduleLocked() {
 }
 
 // prepareLaunchLocked fixes up the job's on-disk state before a worker
-// starts: it picks the latest valid checkpoint (promoting .prev over a
-// corrupt primary), truncates the trace to exactly the events that preceded
-// it, and rebuilds the hub when the truncation changed the stream (live
-// subscribers get an eof and reconnect to the consistent backlog). With no
-// usable checkpoint the job restarts from scratch. Idempotent: a clean
-// boundary stop passes through without touching the stream.
+// starts (see rollBackLocked) and rebuilds the hub when that changed the
+// trace: live subscribers get an eof and reconnect to the consistent
+// backlog. Idempotent: a clean boundary stop passes through without
+// touching the stream, and a first launch finds the trace already empty.
 func (m *Manager) prepareLaunchLocked(j *job) error {
+	lines, changed, err := m.rollBackLocked(j, j.segments > 0)
+	if err != nil || !changed {
+		return err
+	}
+	return m.rebuildStreamLocked(j, lines)
+}
+
+// rollBackLocked moves the job's on-disk state to its latest valid migration
+// point, for a launch and for a restarted daemon's adoption alike. It picks
+// the latest valid checkpoint (promoting .prev over a corrupt primary) and
+// truncates the trace to exactly the events that preceded it. Only boundary
+// checkpoints exist (the manager disables cancellation checkpoints), so any
+// valid file is trace-exact. With no usable checkpoint the job restarts from
+// scratch: the checkpoint files go, and with emptyTrace the trace is
+// emptied. It returns the lines to seed the job's hub with and whether the
+// trace file changed.
+func (m *Manager) rollBackLocked(j *job, emptyTrace bool) (lines [][]byte, changed bool, err error) {
 	trace := m.tracePath(j)
 	ckpt := filepath.Join(j.dir, "run.ckpt")
 	info, ierr := core.InspectCheckpoint(ckpt)
@@ -524,47 +539,34 @@ func (m *Manager) prepareLaunchLocked(j *job) error {
 		prev := ckpt + ".prev"
 		if pinfo, perr := core.InspectCheckpoint(prev); perr == nil {
 			if rerr := os.Rename(prev, ckpt); rerr != nil {
-				return rerr
+				return nil, false, rerr
 			}
 			info, ierr = pinfo, nil
 			m.logf("%s: primary checkpoint corrupt; promoted .prev", j.id)
 		}
 	}
-	fresh := ierr != nil
-	var lines [][]byte
-	changed := false
-	if !fresh {
-		var terr error
-		lines, changed, terr = truncateTrace(trace, info.TraceSeq)
-		if terr != nil {
-			if !errors.Is(terr, errTraceShort) {
-				return terr
-			}
-			// Checkpoint claims events the trace never got: the pair is
-			// inconsistent, so a byte-exact migration is impossible. Restart
-			// from scratch rather than serve a wrong trace.
-			m.logf("%s: %v; restarting from scratch", j.id, terr)
-			fresh = true
+	if ierr == nil {
+		lines, changed, err = truncateTrace(trace, info.TraceSeq)
+		if err == nil {
+			j.resume = true
+			j.lastCheckpoint = fmt.Sprintf("%s iter=%d", info.Stage, info.Iter)
+			return lines, changed, nil
 		}
-	}
-	if fresh {
-		os.Remove(ckpt)
-		os.Remove(ckpt + ".prev")
-		j.resume = false
-		if j.segments == 0 {
-			return nil // first launch: the trace is already empty
+		if !errors.Is(err, errTraceShort) {
+			return nil, false, err
 		}
-		if err := os.WriteFile(trace, nil, 0o644); err != nil {
-			return err
-		}
-		return m.rebuildStreamLocked(j, nil)
+		// Checkpoint claims events the trace never got: the pair is
+		// inconsistent, so a byte-exact migration is impossible. Restart
+		// from scratch rather than serve a wrong trace.
+		m.logf("%s: %v; restarting from scratch", j.id, err)
 	}
-	j.resume = true
-	j.lastCheckpoint = fmt.Sprintf("%s iter=%d", info.Stage, info.Iter)
-	if changed {
-		return m.rebuildStreamLocked(j, lines)
+	os.Remove(ckpt)
+	os.Remove(ckpt + ".prev")
+	j.resume = false
+	if !emptyTrace {
+		return nil, false, nil
 	}
-	return nil
+	return nil, true, os.WriteFile(trace, nil, 0o644)
 }
 
 // rebuildStreamLocked replaces the job's hub and trace file handle after the
@@ -782,8 +784,8 @@ func (m *Manager) onWorkerExit(j *job, code int, desc string) {
 		m.sched.remove(j.id)
 		m.finishLocked(j)
 		m.logf("%s: done HPWL=%.0f DRVs=%d", j.id, j.summary.HPWLFinal, j.summary.DRVs)
-	case code == workerExitUsage, code == workerExitDegenerate, code == workerExitGuard,
-		code == workerExitNoRoom:
+	case code == workerExitUsage, code == core.ExitDegenerate, code == core.ExitGuard,
+		code == core.ExitNoRoom:
 		// Deterministic failures: retrying cannot help, fail immediately.
 		j.state = StateFailed
 		if j.errMsg = j.failMsg; j.errMsg == "" {
@@ -1042,88 +1044,33 @@ func (m *Manager) recover() error {
 // recoverJob rebuilds one adopted job's runtime state (hub, trace file,
 // scheduler entry) from its on-disk remains.
 func (m *Manager) recoverJob(j *job) error {
-	trace := m.tracePath(j)
-	if j.state.Terminal() {
+	if j.state.Terminal() || j.state == StateCancelling {
 		// Read-only adoption: seed a closed hub so SSE replays the full
 		// stream and immediately ends it.
-		lines, err := readTraceLines(trace)
+		lines, err := readTraceLines(m.tracePath(j))
 		if err != nil {
 			return err
 		}
 		j.hub = telemetry.NewHub(nil)
 		j.hub.Seed(lines)
 		j.hub.Close()
-		return nil
-	}
-	if j.state == StateCancelling {
+		if j.state.Terminal() {
+			return nil
+		}
 		// The cancel was requested before the crash; honor it. The trace is
 		// whatever the dead process got out — cancelled jobs carry no
 		// byte-identity promise.
 		j.state = StateCancelled
-		lines, err := readTraceLines(trace)
-		if err != nil {
-			return err
-		}
-		j.hub = telemetry.NewHub(nil)
-		j.hub.Seed(lines)
-		j.hub.Close()
 		return m.persistLocked(j)
 	}
 
-	// Find the job's latest valid migration point. Only boundary
-	// checkpoints exist (the manager disables cancellation checkpoints), so
-	// any valid file here is trace-exact.
-	ckpt := filepath.Join(j.dir, "run.ckpt")
-	info, ierr := core.InspectCheckpoint(ckpt)
-	if ierr != nil && errors.Is(ierr, core.ErrCheckpointCorrupt) {
-		prev := ckpt + ".prev"
-		if pinfo, perr := core.InspectCheckpoint(prev); perr == nil {
-			// Promote the last-good rotation so the resume path reads a
-			// valid primary.
-			if rerr := os.Rename(prev, ckpt); rerr != nil {
-				return rerr
-			}
-			info, ierr = pinfo, nil
-			m.logf("%s: primary checkpoint corrupt; promoted .prev", j.id)
-		}
-	}
-
-	fresh := ierr != nil
-	var seedLines [][]byte
-	if !fresh {
-		lines, _, terr := truncateTrace(trace, info.TraceSeq)
-		if terr != nil {
-			if !errors.Is(terr, errTraceShort) {
-				return terr
-			}
-			// Checkpoint claims events the trace never got: the pair is
-			// inconsistent, so a byte-exact migration is impossible.
-			// Restart the job from scratch rather than serve a wrong trace.
-			m.logf("%s: %v; restarting from scratch", j.id, terr)
-			fresh = true
-		} else {
-			seedLines = lines
-		}
-	}
-	if fresh {
-		os.Remove(ckpt)
-		os.Remove(ckpt + ".prev")
-		if err := os.WriteFile(trace, nil, 0o644); err != nil {
-			return err
-		}
-		j.resume = false
-	} else {
-		j.resume = true
-		j.lastCheckpoint = fmt.Sprintf("%s iter=%d", info.Stage, info.Iter)
-	}
-
-	f, err := os.OpenFile(trace, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	lines, _, err := m.rollBackLocked(j, true)
 	if err != nil {
 		return err
 	}
-	j.traceFile = f
-	j.hub = telemetry.NewHub(f)
-	j.hub.Seed(seedLines)
+	if err := m.rebuildStreamLocked(j, lines); err != nil {
+		return err
+	}
 
 	// Pausing collapses to paused (the stop was requested; the crash
 	// delivered it); queued/running re-queue for migration.

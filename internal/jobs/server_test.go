@@ -145,7 +145,7 @@ func TestServerPauseResumeCancel(t *testing.T) {
 	id2 := decodeJSON[map[string]string](t, postJSON(t, ts.URL+"/jobs", fastSpec()))["id"]
 
 	// Job 2 waits behind job 1 (capacity 1); cancel it while queued and
-	// assert the terminal state, as the CI smoke does.
+	// assert the terminal state.
 	resp := postJSON(t, ts.URL+"/jobs/"+id2+"/cancel", nil)
 	view := decodeJSON[JobView](t, resp)
 	if view.State != StateCancelled {

@@ -153,16 +153,14 @@ const (
 )
 
 func (s *Spec) mode() (core.Mode, error) {
-	switch s.Mode {
-	case "xplace":
-		return core.ModeWirelength, nil
-	case "xplace-route":
-		return core.ModeBaselineRoute, nil
-	case "", "ours":
+	if s.Mode == "" {
 		return core.ModeOurs, nil
-	default:
-		return 0, fmt.Errorf("jobs: unknown mode %q", s.Mode)
 	}
+	m, err := core.ParseMode(s.Mode)
+	if err != nil {
+		return 0, fmt.Errorf("jobs: %w", err)
+	}
+	return m, nil
 }
 
 // DesignName is the display name: the catalog name, or the inline payload's

@@ -25,11 +25,11 @@ package jobs
 //     atomic, so the restarted daemon migrates the job from the last one.
 //
 // Exit codes extend the placer CLI's contract (DESIGN.md §9): 0 done,
-// 1 generic error, 2 usage, 3 cancelled, 4 corrupt checkpoint, 5 degenerate
-// design, 6 guard failure, 8 no room to legalize, plus workerExitStopped
-// (7) for a scheduled boundary stop. Anything else — a panic-free crash, an
-// injected crash, a kill — is unclassified and triggers the supervisor's
-// crash-resume path.
+// 2 usage, and core.ExitCode's classes of a failed run (1 generic error,
+// 3 cancelled, 4 corrupt checkpoint, 5 degenerate design, 6 guard failure,
+// 8 no room to legalize), plus workerExitStopped (7) for a scheduled
+// boundary stop. Anything else — a panic-free crash, an injected crash, a
+// kill — is unclassified and triggers the supervisor's crash-resume path.
 
 import (
 	"bytes"
@@ -49,25 +49,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/designio"
-	"repro/internal/guard"
 	"repro/internal/guard/inject"
-	"repro/internal/legalize"
 	"repro/internal/telemetry"
 )
 
-// Worker exit codes. 0–6 and 8 mirror cmd/placer; 7 is the worker's
-// scheduled boundary stop (the CLI reports that as 0, but the supervisor
-// must tell "stopped as asked" from "finished").
+// Worker exit codes beside core.ExitCode's. 7 is the worker's scheduled
+// boundary stop (the CLI reports that as 0, but the supervisor must tell
+// "stopped as asked" from "finished").
 const (
-	workerExitOK         = 0
-	workerExitError      = 1
-	workerExitUsage      = 2
-	workerExitCancelled  = 3
-	workerExitCorrupt    = 4
-	workerExitDegenerate = 5
-	workerExitGuard      = 6
-	workerExitStopped    = 7
-	workerExitNoRoom     = 8
+	workerExitOK      = 0
+	workerExitUsage   = 2
+	workerExitStopped = 7
 	// workerExitCrashInjected is what the WorkerCrash fault exits with —
 	// deliberately outside the classified range so the supervisor treats it
 	// exactly like a kill -9.
@@ -132,7 +124,7 @@ func RunWorker(args []string) (code int) {
 			// into an unclassified exit and let the supervisor's crash-resume
 			// path handle it.
 			fmt.Fprintf(os.Stderr, "worker: panic: %v\n", r)
-			code = workerExitError
+			code = core.ExitError
 		}
 	}()
 
@@ -184,7 +176,7 @@ func RunWorker(args []string) (code int) {
 	// abruptly; the atomic checkpoint on disk is the migration point.
 	go func() {
 		io.Copy(io.Discard, os.Stdin)
-		os.Exit(workerExitError)
+		os.Exit(core.ExitError)
 	}()
 
 	// Heartbeats, until stopHB (a WorkerStall fault silences them so the
@@ -226,7 +218,7 @@ func RunWorker(args []string) (code int) {
 	d, err := rec.Spec.BuildDesign()
 	if err != nil {
 		mux.control(ctlMsg{Type: "fail", Error: err.Error()})
-		return workerExitError
+		return core.ExitError
 	}
 	opt := rec.Spec.coreOptions()
 	opt.Workers = *budget
@@ -264,28 +256,16 @@ func RunWorker(args []string) (code int) {
 	} else {
 		res, err = core.PlaceContext(ctx, d, opt)
 	}
-	switch {
+	switch code := core.ExitCode(err); {
 	case errors.Is(err, core.ErrCheckpointed):
 		// Scheduled boundary stop: no flush — the resumed segment's events
 		// must concatenate into one continuous canonical trace.
 		return workerExitStopped
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return workerExitCancelled
-	case errors.Is(err, core.ErrCheckpointCorrupt):
+	case code == core.ExitCancelled:
+		return code
+	case code != 0:
 		mux.control(ctlMsg{Type: "fail", Error: err.Error()})
-		return workerExitCorrupt
-	case errors.Is(err, core.ErrDegenerateDesign):
-		mux.control(ctlMsg{Type: "fail", Error: err.Error()})
-		return workerExitDegenerate
-	case errors.Is(err, guard.ErrBudgetExhausted), errors.Is(err, guard.ErrViolation):
-		mux.control(ctlMsg{Type: "fail", Error: err.Error()})
-		return workerExitGuard
-	case errors.As(err, new(*legalize.NoRoomError)):
-		mux.control(ctlMsg{Type: "fail", Error: err.Error()})
-		return workerExitNoRoom
-	case err != nil:
-		mux.control(ctlMsg{Type: "fail", Error: err.Error()})
-		return workerExitError
+		return code
 	}
 
 	// Success: mirror the plain CLI's end-of-run telemetry (metrics flush,
@@ -293,18 +273,18 @@ func RunWorker(args []string) (code int) {
 	// the supervisor treats exit 0 without an end message as a crash.
 	if ferr := opt.Observer.Flush(); ferr != nil {
 		mux.control(ctlMsg{Type: "fail", Error: "trace flush: " + ferr.Error()})
-		return workerExitError
+		return core.ExitError
 	}
 	var buf bytes.Buffer
 	if werr := designio.Write(&buf, d); werr == nil {
 		werr = writeFileAtomic(filepath.Join(*dir, "out.place"), buf.Bytes())
 		if werr != nil {
 			mux.control(ctlMsg{Type: "fail", Error: werr.Error()})
-			return workerExitError
+			return core.ExitError
 		}
 	} else {
 		mux.control(ctlMsg{Type: "fail", Error: werr.Error()})
-		return workerExitError
+		return core.ExitError
 	}
 	mux.control(ctlMsg{Type: "end", Summary: summarize(res)})
 	return workerExitOK

@@ -244,9 +244,9 @@ func hashDesign(d *netlist.Design) uint64 {
 // TestBigDesignDeterministicHash pins the 100k-cell superblue1_big design to
 // a golden digest: large-design generation must be bit-stable across
 // platforms, Go releases and refactors of the generator's inner loops (the
-// multilevel scale tests and the CI scale-smoke job all assume it). If an
-// INTENTIONAL generator change shifts the digest, update the constant here
-// and re-baseline the bench gate.
+// multilevel scale tests and the bench gate's large-design leg all assume
+// it). If an INTENTIONAL generator change shifts the digest, update the
+// constant here and re-baseline the bench gate.
 func TestBigDesignDeterministicHash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a 100k-cell design")
