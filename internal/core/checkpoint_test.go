@@ -50,7 +50,7 @@ func TestValidateCheckpointOpts(t *testing.T) {
 			t.Errorf("point %q rejected: %v", good, err)
 		}
 	}
-	for _, bad := range []string{"eval", "route_iter:", "route_iter:-1",
+	for _, bad := range []string{"eval", "L1/eval", "done", "route_iter:", "route_iter:-1",
 		"route_iter:x", "phase1"} {
 		opt := Options{CheckpointAfter: bad, CheckpointPath: "x"}
 		if err := validateCheckpointOpts(&opt); err == nil {
@@ -182,10 +182,10 @@ func TestSeedCheckpointFields(t *testing.T) {
 		t.Errorf("cursor %+v, gp %v, loop %v, multilevel %v; want wirelength/0/-1 with only gp",
 			ck.Cur, ck.HasGP, ck.HasLoop, ck.ML)
 	}
-	if ck.Nes.A != 1 || !ck.Nes.First || ck.Nes.Steps != 0 || ck.Nes.Scale != 1 ||
-		len(ck.CellPos) != 2*len(d.Cells) || len(ck.Nes.U) != len(ck.Nes.GPrev) {
+	if nes := ck.GP.Nes; nes.A != 1 || !nes.First || nes.Steps != 0 || nes.Scale != 1 ||
+		len(ck.CellPos) != 2*len(d.Cells) || len(nes.U) != len(nes.GPrev) {
 		t.Errorf("nesterov record reads %v %v %d %v with %d/%d cellpos/u values",
-			ck.Nes.A, ck.Nes.First, ck.Nes.Steps, ck.Nes.Scale, len(ck.CellPos), len(ck.Nes.U))
+			nes.A, nes.First, nes.Steps, nes.Scale, len(ck.CellPos), len(nes.U))
 	}
 }
 
@@ -193,14 +193,19 @@ func TestSeedCheckpointFields(t *testing.T) {
 // scheduled point, resume in a fresh process state (fresh design object,
 // fresh Observer), and require the final placement, congestion history,
 // result summary AND the concatenated canonical telemetry trace to be
-// byte-identical to an uninterrupted run.
+// byte-identical to an uninterrupted run. The points cover every stage
+// boundary and one route iteration.
 func TestScheduledCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full placement runs; skipped in -short")
 	}
 	for _, tc := range []struct{ design, point string }{
+		{"tiny_hot", "setup"},
 		{"tiny_hot", "wirelength"},
 		{"tiny_hot", "route_iter:2"},
+		{"tiny_hot", "routability"},
+		{"tiny_hot", "legalize"},
+		{"tiny_hot", "detailed"},
 		{"tiny_open", "wirelength"},
 	} {
 		tc := tc

@@ -6,9 +6,10 @@ package core
 // the deterministic fault injections that exercise this file live in
 // internal/guard/inject and are wired in buildRuntime.
 //
-// Recovery granularity is the optimizer step: the snapshot captures exactly
-// the state a Nesterov step mutates (the nesterov.State including the
-// cumulative step scale, the λ/γ schedule scalars and the last-eval stats).
+// Recovery granularity is the optimizer step: the snapshot is a gpState,
+// exactly the state a Nesterov step mutates (the nesterov.State including
+// the cumulative step scale, the λ/γ schedule scalars and the last-eval
+// stats), the same value a checkpoint's gp records hold.
 // Adaptation-time state (inflation ratios, PG density, congestion fields)
 // is not snapshotted — a violation that survives a rollback retry simply
 // burns the retry budget and surfaces as a typed error. All decisions are
@@ -61,14 +62,35 @@ func validatePlaceable(d *netlist.Design) error {
 	return nil
 }
 
-// gpSnapshot is the rolling last-good state divergence recovery rolls back
-// to: everything an optimizer step mutates. Buffers are reused between
-// captures, so the steady-state capture cost is four vector copies.
-type gpSnapshot struct {
-	valid                      bool
-	nes                        nesterov.State
-	gamma, lambda1, lambda2    float64
-	lastWL, lastOv, lastGradL1 float64
+// gpState is everything a Nesterov step mutates: the optimizer's iteration
+// state with its cumulative step scale, γ, λ₁, λ₂, and the last
+// evaluation's wirelength, density overflow and ‖∇W‖₁. Divergence recovery
+// rolls back to one, and a checkpoint's gp, nesterov and vec nes.* records
+// hold one.
+type gpState struct {
+	Nes                                                   nesterov.State
+	Gamma, Lambda1, Lambda2, LastWL, LastOv, LastWLGradL1 float64
+}
+
+// captureGP copies the state a Nesterov step mutates into s, reusing s's
+// vectors, so the guard's steady-state capture is four vector copies.
+func (ps *PlacementState) captureGP(s *gpState) {
+	ps.optm.StateInto(&s.Nes)
+	s.Gamma = ps.wl.Gamma()
+	s.Lambda1, s.Lambda2 = ps.obj.lambda1, ps.obj.lambda2
+	s.LastWL, s.LastOv, s.LastWLGradL1 = ps.obj.lastWL, ps.obj.lastOverflow, ps.obj.lastWLGradL1
+}
+
+// restoreGP puts s back. It fails when s's vectors do not match the
+// optimizer's dimension.
+func (ps *PlacementState) restoreGP(s *gpState) error {
+	if err := ps.optm.SetState(s.Nes); err != nil {
+		return err
+	}
+	ps.wl.SetGamma(s.Gamma)
+	ps.obj.lambda1, ps.obj.lambda2 = s.Lambda1, s.Lambda2
+	ps.obj.lastWL, ps.obj.lastOverflow, ps.obj.lastWLGradL1 = s.LastWL, s.LastOv, s.LastWLGradL1
+	return nil
 }
 
 // guardRuntime is the per-run state of the guard layer; nil when
@@ -79,8 +101,8 @@ type guardRuntime struct {
 	cfg        guard.Config
 	violations *telemetry.Counter
 	recoveries *telemetry.Counter
-	retries    int // recoveries used so far (serialized in checkpoints)
-	last       gpSnapshot
+	retries    int      // recoveries used so far (serialized in checkpoints)
+	last       *gpState // the last-good state; nil before the first clean scan
 }
 
 // initGuard builds the guard runtime when guarding is enabled; validateRun
@@ -173,7 +195,10 @@ func (ps *PlacementState) guardAfterStep(where string) (retry bool, err error) {
 	v := ps.scanInvariants(where)
 	if v == nil {
 		if g.cfg.Policy == guard.Recover {
-			g.capture(ps)
+			if g.last == nil {
+				g.last = new(gpState)
+			}
+			ps.captureGP(g.last)
 		}
 		return false, nil
 	}
@@ -183,7 +208,7 @@ func (ps *PlacementState) guardAfterStep(where string) (retry bool, err error) {
 		ps.Opt.logf("guard: violation: %s (policy warn: continuing)", v)
 		return false, nil
 	case guard.Recover:
-		if !g.last.valid {
+		if g.last == nil {
 			return false, fmt.Errorf("%w: %s (no last-good snapshot to roll back to)",
 				guard.ErrViolation, v)
 		}
@@ -193,7 +218,16 @@ func (ps *PlacementState) guardAfterStep(where string) (retry bool, err error) {
 		}
 		g.retries++
 		g.recoveries.Inc()
-		g.restore(ps)
+		// Roll the optimizer, the λ/γ schedule and the design positions
+		// back. The density/congestion models need no rollback: their fields
+		// are recomputed from scratch on the next evaluation, and optimizer
+		// steps do not touch their externally-set state (inflation ratios,
+		// PG density). The dimensions match: the snapshot came from this
+		// optimizer.
+		if err := ps.restoreGP(g.last); err != nil {
+			panic("core: guard snapshot dimension mismatch: " + err.Error())
+		}
+		ps.obj.scatter(ps.optm.U())
 		ps.optm.ShrinkStep(g.cfg.Backoff)
 		ps.Opt.logf("guard: violation: %s — rolled back to last-good state, step scale %g (recovery %d/%d)",
 			v, ps.optm.StepScale(), g.retries, g.cfg.MaxRetries)
@@ -234,35 +268,4 @@ func (ps *PlacementState) scanInvariants(where string) *guard.Violation {
 		return &guard.Violation{Sentinel: "density_field_" + field, Where: where, Index: idx, Value: val}
 	}
 	return nil
-}
-
-// capture refreshes the rolling last-good snapshot (buffer-reusing).
-func (g *guardRuntime) capture(ps *PlacementState) {
-	ps.optm.StateInto(&g.last.nes)
-	g.last.gamma = ps.wl.Gamma()
-	g.last.lambda1 = ps.obj.lambda1
-	g.last.lambda2 = ps.obj.lambda2
-	g.last.lastWL = ps.obj.lastWL
-	g.last.lastOv = ps.obj.lastOverflow
-	g.last.lastGradL1 = ps.obj.lastWLGradL1
-	g.last.valid = true
-}
-
-// restore rolls the optimizer, the λ/γ schedule and the design positions
-// back to the last-good snapshot. The density/congestion models need no
-// rollback: their fields are recomputed from scratch on the next
-// evaluation, and their externally-set state (inflation ratios, PG density)
-// is not touched by optimizer steps.
-func (g *guardRuntime) restore(ps *PlacementState) {
-	// Dimensions always match: the snapshot came from this optimizer.
-	if err := ps.optm.SetState(g.last.nes); err != nil {
-		panic("core: guard snapshot dimension mismatch: " + err.Error())
-	}
-	ps.wl.SetGamma(g.last.gamma)
-	ps.obj.lambda1 = g.last.lambda1
-	ps.obj.lambda2 = g.last.lambda2
-	ps.obj.lastWL = g.last.lastWL
-	ps.obj.lastOverflow = g.last.lastOv
-	ps.obj.lastWLGradL1 = g.last.lastGradL1
-	ps.obj.scatter(ps.optm.U())
 }

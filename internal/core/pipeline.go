@@ -5,13 +5,14 @@ package core
 //
 //	setup → wirelength → routability → legalize → detailed → eval
 //
-// Each stage implements the Stage interface, mutates the PlacementState it
-// is handed, and honours cooperative cancellation through its Context. The
-// runner (runPipeline) owns the cursor that records how far the run has
-// progressed, the span bookkeeping around stages, and the checkpoint
-// machinery: after any stage — and after any individual route iteration —
-// the complete mutable state can be serialized (see state.go) and a later
-// process can resume it to a byte-identical final placement.
+// The stages table names each stage and the PlacementState method that
+// runs it; a stage mutates the state and honours cooperative cancellation
+// through its Context. The runner (runPipeline) owns the cursor that
+// records how far the run has progressed, the span bookkeeping around
+// stages, and the checkpoint machinery: after any stage — and after any
+// individual route iteration — the complete mutable state can be
+// serialized (see state.go) and a later process can resume it to a
+// byte-identical final placement.
 //
 // Two kinds of checkpoint exist:
 //
@@ -108,30 +109,37 @@ const (
 	BoundaryStop
 )
 
-// Stage is one step of the placement pipeline. Run mutates the shared
-// PlacementState and returns nil on completion, a context error when
-// cancelled (after bringing the design back to a consistent position
-// state), or any other error on failure. Stages must end every span they
-// start before returning an error, so the runner's unwind logic only deals
-// with the spans it opened itself.
-type Stage interface {
-	Name() string
-	Run(ctx context.Context, ps *PlacementState) error
+// stages is the pipeline in run order: cursor.stage always names one of
+// them, or cursorDone after eval finished, and every stage but eval is a
+// CheckpointAfter point. A stage's run mutates the shared PlacementState
+// and returns nil on completion, a context error when cancelled (after
+// bringing the design back to a consistent position state), or any other
+// error on failure. It must end every span it starts before returning an
+// error, so the runner's unwind logic only deals with the spans it opened
+// itself.
+var stages = []struct {
+	name string
+	run  func(*PlacementState, context.Context) error
+}{
+	{"setup", (*PlacementState).runSetup},
+	{"wirelength", (*PlacementState).runWirelength},
+	{"routability", (*PlacementState).runRoutability},
+	{"legalize", (*PlacementState).runLegalize},
+	{"detailed", (*PlacementState).runDetailed},
+	{"eval", (*PlacementState).runEval},
 }
-
-// stageOrder is the fixed pipeline sequence; cursor.stage always holds one
-// of these names, or cursorDone after the eval stage finished.
-var stageOrder = []string{"setup", "wirelength", "routability", "legalize", "detailed", "eval"}
 
 const cursorDone = "done"
 
+// stageIndex is name's position in stages; cursorDone and unknown names
+// sort after every stage.
 func stageIndex(name string) int {
-	for i, s := range stageOrder {
-		if s == name {
+	for i, s := range stages {
+		if s.name == name {
 			return i
 		}
 	}
-	return len(stageOrder) // cursorDone sorts after every stage
+	return len(stages)
 }
 
 // cursor pinpoints the pipeline position a checkpoint was taken at.
@@ -182,12 +190,6 @@ type PlacementState struct {
 	optm   *nesterov.Optimizer
 	rtr    *route.Router // constructed once, Reset per route iteration
 	gamma0 float64
-
-	// Position-delta feed for the router's incremental decomposition: the
-	// cell positions as of the previous route call and the per-cell moved
-	// mask handed to the router (both reused each iteration).
-	lastRoutedPos []float64
-	movedMask     []bool
 
 	// Routability-loop runtime, built by the loop prologue on a fresh run
 	// or by restore when resuming into the middle of the loop.
@@ -326,8 +328,7 @@ func validateCheckpointOpts(opt *Options) error {
 		}
 		return nil
 	}
-	switch spec {
-	case "setup", "wirelength", "routability", "legalize", "detailed":
+	if stageIndex(spec) < len(stages)-1 { // any stage but the terminal eval
 		return nil
 	}
 	return fmt.Errorf("core: unknown CheckpointAfter point %q", opt.CheckpointAfter)
@@ -336,30 +337,24 @@ func validateCheckpointOpts(opt *Options) error {
 // runPipeline drives the stage sequence from ps.cur to completion.
 func runPipeline(ctx context.Context, ps *PlacementState) (*Result, error) {
 	ps.start = time.Now()
-	stages := []Stage{
-		setupStage{}, wirelengthStage{}, routabilityStage{},
-		legalizeStage{}, detailedStage{}, evalStage{},
-	}
 	// The "place" root span covers setup through detailed (eval is timed
 	// separately as Result.RouteTime). A run resumed past detailed has no
 	// root span to reopen.
 	if stageIndex(ps.cur.stage) <= stageIndex("detailed") {
 		ps.root = ps.resumeSpanFor("place")
 	}
-	for _, st := range stages {
-		if stageIndex(ps.cur.stage) > stageIndex(st.Name()) {
-			continue // already done per the resumed cursor
-		}
+	// Start at the cursor's stage: a resumed run has done the ones before.
+	for _, st := range stages[stageIndex(ps.cur.stage):] {
 		// Label the stage for CPU/goroutine profiles: `go tool pprof`
 		// -tagfocus=stage=<name> isolates one pipeline stage.
 		var err error
-		pprof.Do(ctx, pprof.Labels("stage", st.Name()), func(ctx context.Context) {
-			err = st.Run(ctx, ps)
+		pprof.Do(ctx, pprof.Labels("stage", st.name), func(ctx context.Context) {
+			err = st.run(ps, ctx)
 		})
 		if err != nil {
 			return ps.fail(err)
 		}
-		if err := ps.afterStage(st.Name()); err != nil {
+		if err := ps.afterStage(st.name); err != nil {
 			return ps.fail(err)
 		}
 	}
@@ -375,11 +370,9 @@ func runPipeline(ctx context.Context, ps *PlacementState) (*Result, error) {
 // stage-boundary bookkeeping the monolithic Place used to do inline, and
 // fires the scheduled checkpoint when this boundary is the requested one.
 func (ps *PlacementState) afterStage(name string) error {
-	next := stageIndex(name) + 1
-	if next < len(stageOrder) {
-		ps.cur = cursor{stage: stageOrder[next], step: -1}
-	} else {
-		ps.cur = cursor{stage: cursorDone, step: -1}
+	ps.cur = cursor{stage: cursorDone, step: -1}
+	if next := stageIndex(name) + 1; next < len(stages) {
+		ps.cur.stage = stages[next].name
 	}
 	switch name {
 	case "routability":
@@ -557,12 +550,8 @@ func (ps *PlacementState) buildRuntime() error {
 
 // ---- Stages ----
 
-// setupStage spreads the initial placement and builds the shared runtime.
-type setupStage struct{}
-
-func (setupStage) Name() string { return "setup" }
-
-func (setupStage) Run(ctx context.Context, ps *PlacementState) error {
+// runSetup spreads the initial placement and builds the shared runtime.
+func (ps *PlacementState) runSetup(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -580,15 +569,11 @@ func (setupStage) Run(ctx context.Context, ps *PlacementState) error {
 	return nil
 }
 
-// wirelengthStage is phase 1: wirelength-driven electrostatic placement
-// (the Xplace part of the flow). Cancellation is checked before every
-// Nesterov step; the cursor records the step index so a resumed run
-// continues the exact iteration sequence.
-type wirelengthStage struct{}
-
-func (wirelengthStage) Name() string { return "wirelength" }
-
-func (wirelengthStage) Run(ctx context.Context, ps *PlacementState) error {
+// runWirelength is phase 1: wirelength-driven electrostatic placement (the
+// Xplace part of the flow). Cancellation is checked before every Nesterov
+// step; the cursor records the step index so a resumed run continues the
+// exact iteration sequence.
+func (ps *PlacementState) runWirelength(ctx context.Context) error {
 	opt, obs, res := &ps.Opt, ps.obs, ps.Res
 	p1 := ps.startSpan("phase1_wirelength")
 	if ps.cur.iter == 0 {
@@ -636,15 +621,11 @@ func (wirelengthStage) Run(ctx context.Context, ps *PlacementState) error {
 	return nil
 }
 
-// routabilityStage is phase 2: the Fig. 2 routability loop shared by
+// runRoutability is phase 2: the Fig. 2 routability loop shared by
 // ModeBaselineRoute and ModeOurs. Every route iteration is a checkpoint
 // boundary; within an iteration, cancellation is checked before the router
 // call and before every Nesterov step.
-type routabilityStage struct{}
-
-func (routabilityStage) Name() string { return "routability" }
-
-func (routabilityStage) Run(ctx context.Context, ps *PlacementState) error {
+func (ps *PlacementState) runRoutability(ctx context.Context) error {
 	if ps.Opt.Mode == ModeWirelength {
 		return nil
 	}
@@ -820,7 +801,6 @@ func (ps *PlacementState) routabilityLoop(ctx context.Context) error {
 // stop when the loop ends at this iteration.
 func (ps *PlacementState) routeAndAdapt(ctx context.Context, it int, c *loopCounters) (stop bool, err error) {
 	d, opt, obs, res := ps.D, &ps.Opt, ps.obs, ps.Res
-	ps.feedPositionDelta()
 	sp := ps.startSpan("route")
 	rres, err := ps.rtr.RouteContext(ctx)
 	sp.End()
@@ -949,40 +929,11 @@ func (ps *PlacementState) optimize(ctx context.Context, fresh bool, c *loopCount
 	return nil
 }
 
-// feedPositionDelta hands the router an exact-position-comparison moved-cells
-// mask so its incremental decomposition can skip signature checks for nets
-// whose cells did not move at all. The first call (and the first call after
-// a checkpoint restore) only snapshots positions — the router then checks
-// every signature, which by the mask-independence of the cache counters
-// yields byte-identical results and counter values, so the snapshot needs no
-// serialization.
-func (ps *PlacementState) feedPositionDelta() {
-	d := ps.D
-	if len(ps.lastRoutedPos) != 2*len(d.Cells) {
-		ps.lastRoutedPos = d.SnapshotPositions()
-		ps.movedMask = make([]bool, len(d.Cells))
-		return
-	}
-	for i := range d.Cells {
-		moved := d.Cells[i].X != ps.lastRoutedPos[2*i] || d.Cells[i].Y != ps.lastRoutedPos[2*i+1]
-		ps.movedMask[i] = moved
-		if moved {
-			ps.lastRoutedPos[2*i] = d.Cells[i].X
-			ps.lastRoutedPos[2*i+1] = d.Cells[i].Y
-		}
-	}
-	ps.rtr.SetMovedCells(ps.movedMask)
-}
-
-// legalizeStage snaps the global placement onto legal rows/sites. On
+// runLegalize snaps the global placement onto legal rows/sites. On
 // cancellation the partially legalized positions are rolled back, so the
 // checkpoint holds the intact global placement and a resumed legalization
 // reproduces the uninterrupted one exactly.
-type legalizeStage struct{}
-
-func (legalizeStage) Name() string { return "legalize" }
-
-func (legalizeStage) Run(ctx context.Context, ps *PlacementState) error {
+func (ps *PlacementState) runLegalize(ctx context.Context) error {
 	if ps.Opt.SkipLegalize {
 		return nil
 	}
@@ -991,12 +942,12 @@ func (legalizeStage) Run(ctx context.Context, ps *PlacementState) error {
 	sp := ps.startSpan("legalize")
 	lg := legalize.New(d)
 	lg.Trace = ps.tr
-	backup := backupPositions(d)
+	backup := d.SnapshotPositions()
 	disp, _, err := lg.RunContext(ctx)
 	if err != nil {
 		sp.End()
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			restorePositions(d, backup)
+			d.RestorePositions(backup)
 			return err
 		}
 		return fmt.Errorf("core: %w", err)
@@ -1008,24 +959,20 @@ func (legalizeStage) Run(ctx context.Context, ps *PlacementState) error {
 	return nil
 }
 
-// detailedStage runs the legality-preserving refinement passes. Like
+// runDetailed runs the legality-preserving refinement passes. Like
 // legalization, a cancelled refinement is rolled back to keep the
 // checkpointed positions deterministic.
-type detailedStage struct{}
-
-func (detailedStage) Name() string { return "detailed" }
-
-func (detailedStage) Run(ctx context.Context, ps *PlacementState) error {
+func (ps *PlacementState) runDetailed(ctx context.Context) error {
 	if ps.Opt.SkipLegalize || ps.Opt.SkipDetailed {
 		return nil
 	}
 	opt, d := &ps.Opt, ps.D
 	sp := ps.startSpan("detailed")
-	backup := backupPositions(d)
+	backup := d.SnapshotPositions()
 	dp, err := detailed.RefineContext(ctx, d, detailed.Options{Passes: 2, Trace: ps.tr})
 	if err != nil {
 		sp.End()
-		restorePositions(d, backup)
+		d.RestorePositions(backup)
 		return err
 	}
 	sp.End()
@@ -1034,13 +981,9 @@ func (detailedStage) Run(ctx context.Context, ps *PlacementState) error {
 	return nil
 }
 
-// evalStage is the final routing evaluation (the Innovus stand-in). It
-// never mutates the design, so cancellation needs no rollback.
-type evalStage struct{}
-
-func (evalStage) Name() string { return "eval" }
-
-func (evalStage) Run(ctx context.Context, ps *PlacementState) error {
+// runEval is the final routing evaluation (the Innovus stand-in). It never
+// mutates the design, so cancellation needs no rollback.
+func (ps *PlacementState) runEval(ctx context.Context) error {
 	if ps.level > 0 {
 		// Coarse levels exist only to seed the next finer level; routing
 		// the cluster netlist would measure nothing the flow reports.
@@ -1062,23 +1005,4 @@ func (evalStage) Run(ctx context.Context, ps *PlacementState) error {
 	opt.timingf("timing: PT %.2fs, RT %.2fs",
 		res.PlaceTime.Seconds(), res.RouteTime.Seconds())
 	return nil
-}
-
-// backupPositions snapshots the movable-cell centers (fixed cells never
-// move, fillers play no role after global placement).
-func backupPositions(d *netlist.Design) []float64 {
-	mov := d.MovableIndices()
-	b := make([]float64, 0, 2*len(mov))
-	for _, ci := range mov {
-		b = append(b, d.Cells[ci].X, d.Cells[ci].Y)
-	}
-	return b
-}
-
-// restorePositions undoes the moves of a cancelled legalize/detailed stage.
-func restorePositions(d *netlist.Design, b []float64) {
-	for k, ci := range d.MovableIndices() {
-		d.Cells[ci].X = b[2*k]
-		d.Cells[ci].Y = b[2*k+1]
-	}
 }

@@ -267,7 +267,7 @@ func TestLegalizeFromInitialSpread(t *testing.T) {
 	for _, name := range append(synth.Table1Designs(), "tiny_hot", "tiny_open") {
 		d := synth.MustGenerate(name)
 		spreadInitial(d)
-		if _, _, err := legalize.New(d).Run(); err != nil {
+		if _, _, err := legalize.New(d).RunContext(context.Background()); err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}

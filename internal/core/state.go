@@ -39,15 +39,14 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
-
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/guard"
 	"repro/internal/inflation"
-	"repro/internal/nesterov"
 	"repro/internal/netlist"
 	"repro/internal/route"
 	"repro/internal/telemetry"
@@ -98,19 +97,17 @@ type checkpoint struct {
 	NumCells, NumNets, NumPins, NumRails int
 	Die                                  geom.Rect
 
-	// Partial result.
-	WLIters, RouteIters                                    int
-	FinalOverflow, HPWLGlobal, HPWLLegalized, LegalizeDisp float64
-	CongestionHistory                                      []float64
+	// Res is the partial result; the result and vec conghist records name
+	// the fields a checkpoint keeps.
+	Res Result
 
 	// All cell centers, x/y interleaved in cell index order.
 	CellPos []float64
 
 	// Global-placement state (cursor inside wirelength/routability).
-	HasGP                                                 bool
-	Gamma, Lambda1, Lambda2, LastWL, LastOv, LastWLGradL1 float64
-	Nes                                                   nesterov.State
-	Fillers                                               []float64
+	HasGP   bool
+	GP      gpState
+	Fillers []float64
 
 	// Routability-loop state (the loop prologue has run).
 	HasLoop            bool
@@ -152,36 +149,22 @@ func (ps *PlacementState) capture() *checkpoint {
 		NumRails: len(fingerD.Rails),
 		Die:      fingerD.Die,
 
-		WLIters:           ps.Res.WLIters,
-		RouteIters:        ps.Res.RouteIters,
-		FinalOverflow:     ps.Res.FinalOverflow,
-		HPWLGlobal:        ps.Res.HPWLGlobal,
-		HPWLLegalized:     ps.Res.HPWLLegalized,
-		LegalizeDisp:      ps.Res.LegalizeDisp,
-		CongestionHistory: append([]float64(nil), ps.Res.CongestionHistory...),
+		Res:     *ps.Res,
+		CellPos: d.SnapshotPositions(),
 	}
+	ck.Res.CongestionHistory = slices.Clone(ps.Res.CongestionHistory)
 	if ps.ml != nil {
 		ck.ML, ck.MLTop, ck.MLLevel, ck.MLCells = true, ps.ml.topLevel, ps.level, len(d.Cells)
 	}
 	if ps.grd != nil {
 		ck.GuardRetries = ps.grd.retries
 	}
-	ck.CellPos = make([]float64, 0, 2*len(d.Cells))
-	for i := range d.Cells {
-		ck.CellPos = append(ck.CellPos, d.Cells[i].X, d.Cells[i].Y)
-	}
 
 	gpStage := ps.cur.stage == "wirelength" || ps.cur.stage == "routability"
 	if gpStage && ps.optm != nil {
 		ck.HasGP = true
-		ck.Gamma = ps.wl.Gamma()
-		ck.Lambda1 = ps.obj.lambda1
-		ck.Lambda2 = ps.obj.lambda2
-		ck.LastWL = ps.obj.lastWL
-		ck.LastOv = ps.obj.lastOverflow
-		ck.LastWLGradL1 = ps.obj.lastWLGradL1
-		ck.Nes = ps.optm.State()
-		ck.Fillers = append([]float64(nil), ps.dens.FillerPos...)
+		ps.captureGP(&ck.GP)
+		ck.Fillers = slices.Clone(ps.dens.FillerPos)
 	}
 	if ck.HasGP && ps.loopReady {
 		ck.HasLoop = true
@@ -224,8 +207,8 @@ type orDash struct{ s *string }
 // record's fields and their order are named. The writer emits the records
 // marked write; the parser fills the fields of each record it reads.
 func (ck *checkpoint) records() []ckRecord {
-	o, t, g := &ck.Opt, &ck.Opt.Tech, &ck.Opt.Guard
-	gp, loop := ck.HasGP, ck.HasLoop
+	o, t, g, r := &ck.Opt, &ck.Opt.Tech, &ck.Opt.Guard, &ck.Res
+	gp, loop, s := ck.HasGP, ck.HasLoop, &ck.GP
 	momentum, cong := loop && ck.Infl.Scheme == "momentum", loop && ck.HasCong
 	vec := func(name string, write bool, v *[]float64) ckRecord {
 		return ckRecord{"vec " + name, write, nil, []any{v}}
@@ -241,16 +224,16 @@ func (ck *checkpoint) records() []ckRecord {
 		{"guard", g.Enabled(), nil, []any{&g.Policy, &g.MaxRetries, &g.Backoff, &g.CheckEvery, &ck.GuardRetries}},
 		{"design", true, nil, []any{&ck.NumCells, &ck.NumNets, &ck.NumPins, &ck.NumRails,
 			&ck.Die.Lo.X, &ck.Die.Lo.Y, &ck.Die.Hi.X, &ck.Die.Hi.Y}},
-		{"result", true, nil, []any{&ck.WLIters, &ck.RouteIters, &ck.FinalOverflow,
-			&ck.HPWLGlobal, &ck.HPWLLegalized, &ck.LegalizeDisp}},
-		vec("conghist", true, &ck.CongestionHistory),
+		{"result", true, nil, []any{&r.WLIters, &r.RouteIters, &r.FinalOverflow,
+			&r.HPWLGlobal, &r.HPWLLegalized, &r.LegalizeDisp}},
+		vec("conghist", true, &r.CongestionHistory),
 		vec("cellpos", true, &ck.CellPos),
-		{"gp", gp, &ck.HasGP, []any{&ck.Gamma, &ck.Lambda1, &ck.Lambda2, &ck.LastWL, &ck.LastOv, &ck.LastWLGradL1}},
-		{"nesterov", gp, nil, []any{&ck.Nes.A, &ck.Nes.First, &ck.Nes.Steps, &ck.Nes.Scale}},
-		vec("nes.u", gp, &ck.Nes.U),
-		vec("nes.v", gp, &ck.Nes.V),
-		vec("nes.vprev", gp, &ck.Nes.VPrev),
-		vec("nes.gprev", gp, &ck.Nes.GPrev),
+		{"gp", gp, &ck.HasGP, []any{&s.Gamma, &s.Lambda1, &s.Lambda2, &s.LastWL, &s.LastOv, &s.LastWLGradL1}},
+		{"nesterov", gp, nil, []any{&s.Nes.A, &s.Nes.First, &s.Nes.Steps, &s.Nes.Scale}},
+		vec("nes.u", gp, &s.Nes.U),
+		vec("nes.v", gp, &s.Nes.V),
+		vec("nes.vprev", gp, &s.Nes.VPrev),
+		vec("nes.gprev", gp, &s.Nes.GPrev),
 		vec("fillers", gp, &ck.Fillers),
 		{"loop", loop, &ck.HasLoop, []any{&ck.BestC, &ck.Stall}},
 		{"infl", loop, nil, []any{&ck.Infl.Scheme, &ck.Infl.AvgPrev, &ck.Infl.T}},
@@ -695,7 +678,7 @@ func parseCheckpoint(body []byte) (*checkpoint, error) {
 			return nil, fmt.Errorf("core: checkpoint lacks the %q record (format of another build)", r.key)
 		}
 	}
-	if stageIndex(ck.Cur.stage) >= len(stageOrder) {
+	if stageIndex(ck.Cur.stage) >= len(stages) {
 		return nil, corruptf("checkpoint has unknown cursor stage %q", ck.Cur.stage)
 	}
 	o := &ck.Opt
@@ -793,7 +776,7 @@ func InspectCheckpoint(path string) (CheckpointInfo, error) {
 		Iter:       ck.Cur.iter,
 		Step:       ck.Cur.step,
 		Level:      ck.MLLevel,
-		RouteIters: ck.RouteIters,
+		RouteIters: ck.Res.RouteIters,
 	}
 	if ck.Tel != nil {
 		info.TraceSeq = ck.Tel.Seq
@@ -936,32 +919,27 @@ func (ck *checkpoint) restoreInto(d *netlist.Design, opt Options, level int, ml 
 		return nil, fmt.Errorf("core: resume: cellpos has %d values, want %d", len(ck.CellPos), 2*len(d.Cells))
 	}
 
+	res := ck.Res
+	res.Mode = ck.Opt.Mode
 	ps := &PlacementState{
 		D:     d,
 		Opt:   opt,
 		level: level,
 		ml:    ml,
-		Res: &Result{
-			Mode:              ck.Opt.Mode,
-			WLIters:           ck.WLIters,
-			RouteIters:        ck.RouteIters,
-			FinalOverflow:     ck.FinalOverflow,
-			HPWLGlobal:        ck.HPWLGlobal,
-			HPWLLegalized:     ck.HPWLLegalized,
-			LegalizeDisp:      ck.LegalizeDisp,
-			CongestionHistory: ck.CongestionHistory,
-		},
-		cur: ck.Cur,
-		obs: opt.Observer,
+		Res:   &res,
+		cur:   ck.Cur,
+		obs:   opt.Observer,
 	}
 	if ps.obs != nil {
 		ps.tr = ps.obs.Tracer
 		ps.restored = ps.obs.RestoreState(ck.Tel)
 	}
 
-	for i := range d.Cells {
-		d.Cells[i].X = ck.CellPos[2*i]
-		d.Cells[i].Y = ck.CellPos[2*i+1]
+	d.RestorePositions(ck.CellPos)
+	// No record holds HPWLFinal: a run resumed past detailed recomputes it
+	// from the positions, which round-trip exactly.
+	if stageIndex(ck.Cur.stage) > stageIndex("detailed") {
+		res.HPWLFinal = d.HPWL()
 	}
 
 	gpStage := ck.Cur.stage == "wirelength" || ck.Cur.stage == "routability"
@@ -972,18 +950,12 @@ func (ck *checkpoint) restoreInto(d *netlist.Design, opt Options, level int, ml 
 		if err := ps.buildRuntime(); err != nil {
 			return nil, err
 		}
-		ps.wl.SetGamma(ck.Gamma)
-		ps.obj.lambda1 = ck.Lambda1
-		ps.obj.lambda2 = ck.Lambda2
-		ps.obj.lastWL = ck.LastWL
-		ps.obj.lastOverflow = ck.LastOv
-		ps.obj.lastWLGradL1 = ck.LastWLGradL1
-		if err := ps.optm.SetState(ck.Nes); err != nil {
+		if err := ps.restoreGP(&ck.GP); err != nil {
 			return nil, fmt.Errorf("core: resume: %w", err)
 		}
 		// One Eval per Step, so the restored eval count — which indexes the
 		// WA-gradient fault injection — is the serialized step count.
-		ps.obj.evals = ck.Nes.Steps
+		ps.obj.evals = ck.GP.Nes.Steps
 		if ps.grd != nil {
 			ps.grd.retries = ck.GuardRetries
 		}

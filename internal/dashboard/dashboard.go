@@ -27,9 +27,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"html"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/plot"
 	"repro/internal/telemetry"
@@ -57,7 +59,7 @@ func (s *Server) SetDiff(text string) { s.diff = text }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.servePage)
-	mux.HandleFunc("/events", s.serveEvents)
+	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) { ServeEvents(w, r, s.hub) })
 	mux.HandleFunc("/heatmap", s.serveHeatmap)
 	return mux
 }
@@ -74,45 +76,57 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, page)
 }
 
-// serveEvents streams the trace over SSE: the backlog first (a dashboard
+// ServeEvents streams hub's trace over SSE: the backlog first (a dashboard
 // tab opened mid-run, or a replay of a finished trace, sees the complete
-// stream), then the live tail until the hub closes or the client leaves.
-func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
+// stream), then the live tail until the hub closes (`event: eof`) or the
+// client leaves. A listener's WriteTimeout would sever a long-lived stream,
+// so every write sets its own 30 s deadline, and a comment ping every 15 s
+// keeps half-dead connections detectable. The dashboard's /events and the
+// job server's /jobs/{id}/events both serve through it.
+func ServeEvents(w http.ResponseWriter, r *http.Request, hub *telemetry.Hub) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	send := func(line []byte) bool {
-		// Trace lines carry their own trailing newline; SSE frames are
-		// "data: <json>\n\n".
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", trimNewline(line)); err != nil {
+	write := func(frame string) bool {
+		rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
+		if _, err := io.WriteString(w, frame); err != nil {
 			return false
 		}
 		fl.Flush()
 		return true
 	}
+	// Trace lines carry their own trailing newline; SSE frames are
+	// "data: <json>\n\n".
+	send := func(line []byte) bool { return write("data: " + string(trimNewline(line)) + "\n\n") }
 
-	backlog, sub := s.hub.Subscribe(1024)
+	backlog, sub := hub.Subscribe(1024)
 	defer sub.Close()
 	for _, line := range backlog {
 		if !send(line) {
 			return
 		}
 	}
+	ping := time.NewTicker(15 * time.Second)
+	defer ping.Stop()
 	for {
 		select {
 		case <-r.Context().Done():
 			return
+		case <-ping.C:
+			if !write(": ping\n\n") {
+				return
+			}
 		case line, ok := <-sub.C():
 			if !ok {
 				// Hub closed: the run is over and the stream is complete.
-				fmt.Fprint(w, "event: eof\ndata: {}\n\n")
-				fl.Flush()
+				write("event: eof\ndata: {}\n\n")
 				return
 			}
 			if !send(line) {

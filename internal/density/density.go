@@ -240,9 +240,6 @@ func halton(i, base int) float64 {
 // NumFillers returns the filler cell count.
 func (m *Model) NumFillers() int { return len(m.FillerPos) / 2 }
 
-// SetInflation sets the inflation ratio of one cell (movables only matter).
-func (m *Model) SetInflation(cell int, r float64) { m.inflation[cell] = r }
-
 // SetInflations replaces all inflation ratios; len must equal len(Cells)
 // or an error is returned (an API-boundary condition the caller can cause).
 // The filler population is shrunk by the total inflation delta so the total
@@ -278,12 +275,6 @@ func (m *Model) rebalanceFillers() {
 		m.activeFillers = 0
 	}
 }
-
-// ActiveFillers returns the number of fillers currently rasterized.
-func (m *Model) ActiveFillers() int { return m.activeFillers }
-
-// Inflation returns the current inflation ratio of a cell.
-func (m *Model) Inflation(cell int) float64 { return m.inflation[cell] }
 
 // PGDensity returns a copy of the current PG-rail additive bin density
 // (what the last SetPGDensity installed; all zeros initially). Together

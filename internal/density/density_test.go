@@ -124,8 +124,12 @@ func TestInflationIncreasesLocalDensity(t *testing.T) {
 	}
 	m.Compute()
 	base := m.CellDensityMap()
-	for i := range d.Cells {
-		m.SetInflation(i, 2.0)
+	r := make([]float64, len(d.Cells))
+	for i := range r {
+		r[i] = 2.0
+	}
+	if err := m.SetInflations(r); err != nil {
+		t.Fatal(err)
 	}
 	m.Compute()
 	inflated := m.CellDensityMap()
@@ -137,9 +141,6 @@ func TestInflationIncreasesLocalDensity(t *testing.T) {
 	ratio := sumI / sumB
 	if ratio < 1.9 || ratio > 2.1 {
 		t.Errorf("inflating all cells 2x changed cell area by %v, want ~2x", ratio)
-	}
-	if m.Inflation(0) != 2.0 {
-		t.Errorf("Inflation getter wrong")
 	}
 }
 

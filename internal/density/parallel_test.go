@@ -144,10 +144,15 @@ func TestComputeMatchesShardMergeReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := synth.MustGenerate("tiny_hot")
 			m := New(d, tc.grid)
-			for ci := range d.Cells {
+			infl := make([]float64, len(d.Cells))
+			for ci := range infl {
+				infl[ci] = 1
 				if ci%3 == 0 {
-					m.SetInflation(ci, 1.7)
+					infl[ci] = 1.7
 				}
+			}
+			if err := m.SetInflations(infl); err != nil {
+				t.Fatal(err)
 			}
 			pg := make([]float64, m.NX*m.NY)
 			for i := range pg {

@@ -56,18 +56,12 @@ func rowOf(d *netlist.Design) map[int][]int {
 	return rows
 }
 
-// Refine runs the detailed-placement passes in place. The design must be
-// legal on entry; it stays legal on exit.
-func Refine(d *netlist.Design, opt Options) Result {
-	res, _ := RefineContext(context.Background(), d, opt)
-	return res
-}
-
-// RefineContext is Refine with cooperative cancellation, checked between
-// passes and between rows. On cancellation it returns ctx.Err() with the
-// refinement incomplete — the design is still LEGAL (every individual move
-// preserves legality) but callers wanting the pre-refinement placement
-// back must back up positions themselves.
+// RefineContext runs the detailed-placement passes in place. The design
+// must be legal on entry; it stays legal on exit. Cancellation is checked
+// between passes and between rows: on cancellation it returns ctx.Err()
+// with the refinement incomplete — the design is still LEGAL (every
+// individual move preserves legality) but callers wanting the
+// pre-refinement placement back must back up positions themselves.
 func RefineContext(ctx context.Context, d *netlist.Design, opt Options) (Result, error) {
 	passes := opt.Passes
 	if passes <= 0 {

@@ -1,6 +1,7 @@
 package detailed
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/geom"
@@ -13,7 +14,7 @@ import (
 func legalDesign(t testing.TB, name string) *netlist.Design {
 	t.Helper()
 	d := synth.MustGenerate(name)
-	if _, _, err := legalize.New(d).Run(); err != nil {
+	if _, _, err := legalize.New(d).RunContext(context.Background()); err != nil {
 		t.Fatalf("legalize: %v", err)
 	}
 	if err := legalize.CheckLegal(d); err != nil {
@@ -22,9 +23,19 @@ func legalDesign(t testing.TB, name string) *netlist.Design {
 	return d
 }
 
+// refine runs RefineContext without a deadline.
+func refine(t testing.TB, d *netlist.Design, opt Options) Result {
+	t.Helper()
+	res, err := RefineContext(context.Background(), d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRefineImprovesHPWLAndStaysLegal(t *testing.T) {
 	d := legalDesign(t, "tiny_hot")
-	res := Refine(d, Options{Passes: 2})
+	res := refine(t, d, Options{Passes: 2})
 	if res.HPWLAfter > res.HPWLBefore {
 		t.Errorf("HPWL got worse: %v → %v", res.HPWLBefore, res.HPWLAfter)
 	}
@@ -38,7 +49,7 @@ func TestRefineImprovesHPWLAndStaysLegal(t *testing.T) {
 
 func TestRefineOnOpenDesign(t *testing.T) {
 	d := legalDesign(t, "tiny_open")
-	res := Refine(d, Options{})
+	res := refine(t, d, Options{})
 	if res.HPWLAfter > res.HPWLBefore {
 		t.Errorf("HPWL got worse: %v → %v", res.HPWLBefore, res.HPWLAfter)
 	}
@@ -50,8 +61,8 @@ func TestRefineOnOpenDesign(t *testing.T) {
 func TestRefineDeterministic(t *testing.T) {
 	d1 := legalDesign(t, "tiny_hot")
 	d2 := legalDesign(t, "tiny_hot")
-	Refine(d1, Options{Passes: 2})
-	Refine(d2, Options{Passes: 2})
+	refine(t, d1, Options{Passes: 2})
+	refine(t, d2, Options{Passes: 2})
 	for i := range d1.Cells {
 		if d1.Cells[i].X != d2.Cells[i].X || d1.Cells[i].Y != d2.Cells[i].Y {
 			t.Fatalf("cell %d differs between runs", i)
@@ -71,7 +82,7 @@ func TestShiftMovesTowardConnectedCells(t *testing.T) {
 	if err := legalize.CheckLegal(d); err != nil {
 		t.Fatalf("setup illegal: %v", err)
 	}
-	Refine(d, Options{Passes: 1})
+	refine(t, d, Options{Passes: 1})
 	if d.Cells[a].X <= 10 {
 		t.Errorf("cell a did not move toward its net: x=%v", d.Cells[a].X)
 	}
@@ -95,7 +106,7 @@ func TestSwapUncrossesNets(t *testing.T) {
 	b.Connect(lp, n2, 0, 0) // c pulled left
 	d := b.MustBuild()
 	before := d.HPWL()
-	res := Refine(d, Options{Passes: 1})
+	res := refine(t, d, Options{Passes: 1})
 	if res.Swaps < 1 {
 		t.Errorf("crossing pair was not swapped")
 	}
@@ -116,7 +127,7 @@ func TestRefineDoesNotMoveMacrosOrPads(t *testing.T) {
 		}
 	}
 	snap := d.SnapshotPositions()
-	Refine(d, Options{Passes: 2})
+	refine(t, d, Options{Passes: 2})
 	for _, i := range fixed {
 		if d.Cells[i].X != snap[2*i] || d.Cells[i].Y != snap[2*i+1] {
 			t.Fatalf("fixed cell %d moved", i)
@@ -126,13 +137,13 @@ func TestRefineDoesNotMoveMacrosOrPads(t *testing.T) {
 
 func BenchmarkRefineTinyHot(b *testing.B) {
 	base := synth.MustGenerate("tiny_hot")
-	if _, _, err := legalize.New(base).Run(); err != nil {
+	if _, _, err := legalize.New(base).RunContext(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	snap := base.SnapshotPositions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base.RestorePositions(snap)
-		Refine(base, Options{Passes: 2})
+		refine(b, base, Options{Passes: 2})
 	}
 }

@@ -73,21 +73,16 @@ type Metrics struct {
 // Evaluate routes the design at high effort and derives the metrics. The
 // gridHint chooses the G-cell resolution (power-of-two rounded).
 func Evaluate(d *netlist.Design, gridHint int) Metrics {
-	return EvaluateTraced(d, gridHint, nil)
-}
-
-// EvaluateTraced is Evaluate with telemetry: the high-effort routing and the
-// scoring pass are recorded as child spans of the caller's current span (a
-// nil tracer disables tracing).
-func EvaluateTraced(d *netlist.Design, gridHint int, tr *telemetry.Tracer) Metrics {
-	m, _ := EvaluateContext(context.Background(), d, gridHint, tr)
+	m, _ := EvaluateContext(context.Background(), d, gridHint, nil)
 	return m
 }
 
-// EvaluateContext is EvaluateTraced with cooperative cancellation: the
-// embedded high-effort routing aborts between rounds and batches, and the
-// zero Metrics plus ctx.Err() are returned. Evaluation never mutates the
-// design, so an aborted call has no side effects.
+// EvaluateContext is Evaluate with telemetry and cooperative cancellation.
+// The high-effort routing and the scoring pass are recorded as child spans
+// of the caller's current span (a nil tracer disables tracing). The
+// embedded routing aborts between rounds and batches, and the zero Metrics
+// plus ctx.Err() are returned. Evaluation never mutates the design, so an
+// aborted call has no side effects.
 func EvaluateContext(ctx context.Context, d *netlist.Design, gridHint int, tr *telemetry.Tracer) (Metrics, error) {
 	g := route.NewGrid(d, gridHint)
 	r := route.NewRouter(d, g)

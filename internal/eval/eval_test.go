@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -179,7 +180,7 @@ func TestDecomposeClassifiesBothKinds(t *testing.T) {
 func TestEvaluateAfterLegalization(t *testing.T) {
 	d := synth.MustGenerate("tiny_open")
 	before := Evaluate(d, 32)
-	if _, _, err := legalize.New(d).Run(); err != nil {
+	if _, _, err := legalize.New(d).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after := Evaluate(d, 32)

@@ -16,7 +16,6 @@ package guard
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -191,6 +190,3 @@ func CheckRange(sentinel, where string, x, lo, hi float64) *Violation {
 	}
 	return nil
 }
-
-// IsFinite reports whether x is neither NaN nor ±Inf.
-func IsFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -121,8 +120,6 @@ type Manager struct {
 	sched   *sched
 	nextSeq int
 	closed  bool
-
-	killed atomic.Bool // crash simulation: freeze all further state updates
 
 	monitorStop chan struct{}
 	monitorOnce sync.Once
@@ -486,7 +483,7 @@ func (m *Manager) budget(s *Spec) int {
 // scheduleLocked launches workers for every job the scheduler admits and
 // signals preemption victims. Callers hold m.mu.
 func (m *Manager) scheduleLocked() {
-	if m.closed || m.killed.Load() {
+	if m.closed {
 		return
 	}
 	for _, id := range m.sched.decide() {
@@ -667,7 +664,7 @@ func (m *Manager) superviseWorker(j *job, cmd *exec.Cmd, hub *telemetry.Hub, std
 			// the trace file must stay valid JSONL.
 			if line[0] == ctlPrefix {
 				m.handleControl(j, line[1:])
-			} else if !m.killed.Load() {
+			} else {
 				hub.Write(line)
 			}
 		}
@@ -697,9 +694,6 @@ func (m *Manager) handleControl(j *job, payload []byte) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.killed.Load() {
-		return
-	}
 	j.lastHB = time.Now()
 	switch msg.Type {
 	case "hb":
@@ -751,9 +745,6 @@ func (m *Manager) onWorkerExit(j *job, code int, desc string) {
 	defer m.mu.Unlock()
 	j.proc = nil
 	j.pid = 0
-	if m.killed.Load() {
-		return // crash simulation: the dead daemon updates nothing
-	}
 	switch {
 	case j.state == StateCancelling:
 		// Whatever the exit code — a clean exit 3, or a crash racing the
@@ -871,7 +862,7 @@ func (m *Manager) backoffFor(restarts int) time.Duration {
 func (m *Manager) endBackoff(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed || m.killed.Load() {
+	if m.closed {
 		return
 	}
 	j := m.jobs[id]
@@ -1114,23 +1105,4 @@ func (m *Manager) Close() {
 		m.finishLocked(j)
 	}
 	m.mu.Unlock()
-}
-
-// Kill simulates a daemon crash for tests: every worker process is killed
-// and no further state is persisted, leaving the directory exactly as a
-// SIGKILLed daemon would — the last boundary checkpoint on disk and a trace
-// file that may run past it. Blocks until the supervisors have exited (so
-// no file write races the Manager that adopts the directory next).
-func (m *Manager) Kill() {
-	m.killed.Store(true)
-	m.mu.Lock()
-	for _, j := range m.jobs {
-		m.stopBackoffLocked(j)
-		if j.proc != nil {
-			j.proc.Kill()
-		}
-	}
-	m.mu.Unlock()
-	m.stopMonitor()
-	m.wg.Wait()
 }

@@ -175,48 +175,6 @@ func TestPreemptionAndPauseAreByteExact(t *testing.T) {
 	testutil.AssertNoGoroutineLeak(t, base)
 }
 
-// TestCrashMigrationIsByteExact kills the worker process mid-run (simulated
-// in-process by Manager.Kill, which abandons segments without persisting
-// anything further) and adopts the state directory with a fresh Manager.
-// The migrated job must complete with placement and canonical trace
-// byte-identical to the plain run — including the trace fix-up that drops
-// events the dead process emitted past its last checkpoint.
-func TestCrashMigrationIsByteExact(t *testing.T) {
-	dir := t.TempDir()
-	m1, err := Open(workerConfig(t, Config{Dir: dir, Capacity: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := m1.Submit(fastSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill once the first migration checkpoint exists.
-	ckpt := filepath.Join(dir, id, "run.ckpt")
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if _, serr := os.Stat(ckpt); serr == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint appeared")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	m1.Kill()
-
-	m2, err := Open(workerConfig(t, Config{Dir: dir, Capacity: 1}))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer m2.Close()
-	v := waitState(t, m2, id, StateDone)
-	if v.Segments < 2 {
-		t.Fatalf("job completed in %d segment(s); the crash never interrupted it", v.Segments)
-	}
-	assertJobMatchesReference(t, m2, id)
-}
-
 // TestRecoveryAdoptsTerminalAndPausedJobs restarts a manager over a
 // directory holding one done and one paused job: the done job must stay
 // done with its artifacts intact, the paused job must resume on request and

@@ -69,9 +69,6 @@ func (c *ServerConfig) fill() {
 	}
 }
 
-// NewServer wraps a Manager with default protections.
-func NewServer(m *Manager) *Server { return NewServerWith(m, ServerConfig{}) }
-
 // NewServerWith wraps a Manager with explicit protection settings.
 func NewServerWith(m *Manager, cfg ServerConfig) *Server {
 	cfg.fill()
@@ -243,70 +240,17 @@ func (s *Server) control(op func(*Manager, string) error) http.HandlerFunc {
 	}
 }
 
-// events streams the job's trace over SSE, exactly like the dashboard's
-// /events: backlog first (gap-free), then the live tail; `event: eof` when
-// the hub closes — for a terminal job that happens right after the backlog.
-//
-// The listener's WriteTimeout would sever a long-lived stream, so every
-// write extends its own deadline via the ResponseController, and a periodic
-// comment ping keeps half-dead connections detectable.
+// events streams the job's trace over SSE through the dashboard's
+// ServeEvents: backlog first (gap-free), then the live tail; `event: eof`
+// when the hub closes — for a terminal job that happens right after the
+// backlog.
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	hub, err := s.m.Hub(r.PathValue("id"))
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	rc := http.NewResponseController(w)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	send := func(line []byte) bool {
-		rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
-			line = line[:len(line)-1]
-		}
-		if _, werr := fmt.Fprintf(w, "data: %s\n\n", line); werr != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	backlog, sub := hub.Subscribe(1024)
-	defer sub.Close()
-	for _, line := range backlog {
-		if !send(line) {
-			return
-		}
-	}
-	ping := time.NewTicker(15 * time.Second)
-	defer ping.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ping.C:
-			rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-			if _, werr := fmt.Fprint(w, ": ping\n\n"); werr != nil {
-				return
-			}
-			fl.Flush()
-		case line, chOK := <-sub.C():
-			if !chOK {
-				rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-				fmt.Fprint(w, "event: eof\ndata: {}\n\n")
-				fl.Flush()
-				return
-			}
-			if !send(line) {
-				return
-			}
-		}
-	}
+	dashboard.ServeEvents(w, r, hub)
 }
 
 func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
@@ -332,7 +276,8 @@ func (s *Server) placement(w http.ResponseWriter, r *http.Request) {
 // dashboard mounts the shared live dashboard under the job's prefix. The
 // dashboard is a thin stateless view over the hub, so constructing one per
 // request is free; its page uses relative URLs, which is what makes the
-// StripPrefix mount work.
+// StripPrefix mount work. Its SSE stream sets its own write deadlines, so
+// the listener's WriteTimeout does not sever live charts.
 func (s *Server) dashboard(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	hub, err := s.m.Hub(id)
@@ -345,10 +290,6 @@ func (s *Server) dashboard(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	// The mounted dashboard manages no write deadlines of its own; give its
-	// connections (including its SSE stream) a long one so the listener's
-	// WriteTimeout does not sever live charts.
-	http.NewResponseController(w).SetWriteDeadline(time.Now().Add(time.Hour))
 	title := fmt.Sprintf("%s — %s (job %s)", view.Design, view.Mode, id)
 	h := http.StripPrefix(fmt.Sprintf("/jobs/%s/dashboard", id),
 		dashboard.NewServer(hub, title).Handler())

@@ -23,7 +23,7 @@ func newTestServer(t *testing.T, cfg Config) (*Manager, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewServer(m).Handler())
+	ts := httptest.NewServer(NewServerWith(m, ServerConfig{}).Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		m.Close()

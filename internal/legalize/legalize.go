@@ -116,18 +116,14 @@ func New(d *netlist.Design) *Legalizer {
 	return l
 }
 
-// Run legalizes all movable cells in place (updating their centers) and
-// returns the total and maximum displacement. A *NoRoomError is returned
-// when a cell cannot be placed anywhere (die over-full).
-func (l *Legalizer) Run() (totalDisp, maxDisp float64, err error) {
-	return l.RunContext(context.Background())
-}
-
-// RunContext is Run with cooperative cancellation, checked once per cell.
-// On cancellation it returns ctx.Err() with the design left PARTIALLY
-// legalized — some cells moved, some not. Callers wanting all-or-nothing
-// semantics (the pipeline's checkpoint machinery does) must back up the
-// movable positions before calling and restore them on error.
+// RunContext legalizes all movable cells in place (updating their centers)
+// and returns the total and maximum displacement. A *NoRoomError is
+// returned when a cell cannot be placed anywhere (die over-full).
+// Cancellation is checked once per cell: on cancellation it returns
+// ctx.Err() with the design left PARTIALLY legalized — some cells moved,
+// some not. Callers wanting all-or-nothing semantics (the pipeline's
+// checkpoint machinery does) must back up the movable positions before
+// calling and restore them on error.
 func (l *Legalizer) RunContext(ctx context.Context) (totalDisp, maxDisp float64, err error) {
 	d := l.d
 	sp := l.Trace.Start("legalize.sort")

@@ -1,6 +1,7 @@
 package legalize
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestLegalizeSimpleCluster(t *testing.T) {
 	b.Connect(2, n, 0, 0)
 	d := b.MustBuild()
 	l := New(d)
-	total, maxD, err := l.Run()
+	total, maxD, err := l.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -47,7 +48,7 @@ func TestLegalizeRespectsMacros(t *testing.T) {
 	b.Connect(0, n, 0, 0)
 	b.Connect(1, n, 0, 0)
 	d := b.MustBuild()
-	_, _, err := New(d).Run()
+	_, _, err := New(d).RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -61,7 +62,7 @@ func TestLegalizeFullDesign(t *testing.T) {
 	// Spread cells roughly (simulating a finished global placement) so
 	// legalization has a fair starting point: tiny_hot's generator already
 	// scatters them uniformly.
-	_, maxD, err := New(d).Run()
+	_, maxD, err := New(d).RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -76,7 +77,7 @@ func TestLegalizeFullDesign(t *testing.T) {
 func TestLegalizePreservesHPWLReasonably(t *testing.T) {
 	d := synth.MustGenerate("tiny_open")
 	before := d.HPWL()
-	if _, _, err := New(d).Run(); err != nil {
+	if _, _, err := New(d).RunContext(context.Background()); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	after := d.HPWL()
@@ -95,7 +96,7 @@ func TestLegalizeErrorsWhenOverfull(t *testing.T) {
 	b.Connect(0, n, 0, 0)
 	b.Connect(1, n, 0, 0)
 	d := b.MustBuild()
-	_, _, err := New(d).Run()
+	_, _, err := New(d).RunContext(context.Background())
 	var noRoom *NoRoomError
 	if !errors.As(err, &noRoom) {
 		t.Errorf("over-full die error = %v, want a *NoRoomError", err)
@@ -141,10 +142,10 @@ func TestCheckLegalCatchesViolations(t *testing.T) {
 func TestLegalizeDeterministic(t *testing.T) {
 	d1 := synth.MustGenerate("tiny_hot")
 	d2 := synth.MustGenerate("tiny_hot")
-	if _, _, err := New(d1).Run(); err != nil {
+	if _, _, err := New(d1).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := New(d2).Run(); err != nil {
+	if _, _, err := New(d2).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for i := range d1.Cells {
@@ -157,11 +158,11 @@ func TestLegalizeDeterministic(t *testing.T) {
 func TestLegalizeIdempotentCost(t *testing.T) {
 	// Legalizing an already-legal design should move cells very little.
 	d := synth.MustGenerate("tiny_open")
-	if _, _, err := New(d).Run(); err != nil {
+	if _, _, err := New(d).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	snap := d.SnapshotPositions()
-	total, _, err := New(d).Run()
+	total, _, err := New(d).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func BenchmarkLegalizeTinyHot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base.RestorePositions(snap)
-		if _, _, err := New(base).Run(); err != nil {
+		if _, _, err := New(base).RunContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

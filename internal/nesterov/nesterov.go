@@ -176,23 +176,9 @@ type State struct {
 	GPrev []float64
 }
 
-// State returns a deep copy of the optimizer's iteration state.
-func (o *Optimizer) State() State {
-	return State{
-		A:     o.a,
-		First: o.first,
-		Steps: o.steps,
-		Scale: o.stepScale,
-		U:     append([]float64(nil), o.u...),
-		V:     append([]float64(nil), o.v...),
-		VPrev: append([]float64(nil), o.vPrev...),
-		GPrev: append([]float64(nil), o.gPrev...),
-	}
-}
-
-// StateInto is State without the allocations: it copies the iteration state
-// into s, reusing s's vectors when their lengths match. The guard layer's
-// rolling last-good snapshot calls this every few optimizer steps.
+// StateInto copies the iteration state into s, reusing s's vectors' storage
+// (a zero State receives fresh copies), so the guard layer's rolling
+// last-good snapshot allocates only once.
 func (o *Optimizer) StateInto(s *State) {
 	s.A = o.a
 	s.First = o.first
@@ -227,13 +213,4 @@ func (o *Optimizer) SetState(s State) error {
 	copy(o.vPrev, s.VPrev)
 	copy(o.gPrev, s.GPrev)
 	return nil
-}
-
-// GradNorm returns the L2 norm of the last preconditioned gradient.
-func (o *Optimizer) GradNorm() float64 {
-	var s float64
-	for _, g := range o.gPrev {
-		s += g * g
-	}
-	return math.Sqrt(s)
 }

@@ -165,16 +165,6 @@ func TestStepClampsApply(t *testing.T) {
 	}
 }
 
-func TestGradNorm(t *testing.T) {
-	q := &quadratic{k: []float64{1, 1}, c: []float64{3, 4}}
-	o := New([]float64{0, 0}, 0.01)
-	o.Step(q)
-	// Gradient at origin is (−3, −4): norm 5.
-	if math.Abs(o.GradNorm()-5) > 1e-9 {
-		t.Errorf("GradNorm = %v, want 5", o.GradNorm())
-	}
-}
-
 func TestOnStepHookObservesEveryStep(t *testing.T) {
 	q := &quadratic{k: []float64{1}, c: []float64{10}}
 	o := New([]float64{0}, 0.1)

@@ -123,22 +123,12 @@ func (r *Router) updateDecomposition() {
 	dc := &r.dc
 	dc.ensureInit(len(r.d.Pins), len(r.d.Nets), r.g)
 	full := !dc.valid
-	moved := r.moved
-	r.moved = nil // the hint describes exactly one position delta
 	clean, dirtyN := 0, 0
 	dc.fresh = dc.fresh[:0]
 	dc.dirtyList = dc.dirtyList[:0]
 	for e := range r.d.Nets {
 		net := &r.d.Nets[e]
 		if net.Degree() < 2 {
-			continue
-		}
-		if !full && moved != nil && !netMoved(r.d, net, moved) {
-			// Position-delta fast path: no pin of the net belongs to a cell
-			// that moved, so the signature cannot have changed. The counter
-			// result is identical to checking the signature (which would
-			// find it clean), keeping the counters mask-independent.
-			clean++
 			continue
 		}
 		changed := r.refreshSignature(net)
@@ -155,10 +145,8 @@ func (r *Router) updateDecomposition() {
 		}
 	}
 	// Counter invariant: exactly one Add per counter per route call, and every
-	// active net lands in exactly one of the two buckets — the moved-hint
-	// branch and the signature branch above are mutually exclusive, so a net
-	// can never be counted dirty twice (or dirty AND clean) within a call.
-	// Both counters feed the canonical trace; the arithmetic is pinned by
+	// active net lands in exactly one of the two buckets. Both counters feed
+	// the canonical trace; the arithmetic is pinned by
 	// TestDirtyNetCountsPinnedTwoCall.
 	r.CacheHits.Add(int64(clean))
 	r.DirtyNets.Add(int64(dirtyN))
@@ -194,17 +182,6 @@ func (r *Router) updateDecomposition() {
 	for _, e := range dc.dirtyList {
 		dc.dirty[e] = false
 	}
-}
-
-// netMoved reports whether any pin of the net sits on a cell flagged by the
-// caller's position-delta hint.
-func netMoved(d *netlist.Design, net *netlist.Net, moved []bool) bool {
-	for _, pi := range net.Pins {
-		if moved[d.Pins[pi].Cell] {
-			return true
-		}
-	}
-	return false
 }
 
 // refreshSignature recomputes the net's pin G-cells into the signature and

@@ -13,11 +13,8 @@ import (
 // perturbCells moves roughly a third of the movable cells by up to ±20 DBU in
 // each axis — enough that some nets cross G-cell boundaries (dirty) while
 // most stay put (clean), exercising the filter+merge path rather than the
-// degenerate all-clean or all-dirty cases. The returned mask is derived from
-// an exact position comparison (the same test the pipeline's delta feed
-// uses), not from intent: ClampToDie may move cells the perturbation did not.
-func perturbCells(d *netlist.Design, rng *rand.Rand) []bool {
-	before := d.SnapshotPositions()
+// degenerate all-clean or all-dirty cases.
+func perturbCells(d *netlist.Design, rng *rand.Rand) {
 	for i := range d.Cells {
 		c := &d.Cells[i]
 		if !c.Movable() || rng.Intn(3) != 0 {
@@ -27,11 +24,6 @@ func perturbCells(d *netlist.Design, rng *rand.Rand) []bool {
 		c.Y += (rng.Float64() - 0.5) * 40
 	}
 	d.ClampToDie()
-	moved := make([]bool, len(d.Cells))
-	for i := range d.Cells {
-		moved[i] = d.Cells[i].X != before[2*i] || d.Cells[i].Y != before[2*i+1]
-	}
-	return moved
 }
 
 // requireSameResult compares two routing results bitwise.
@@ -129,38 +121,6 @@ func TestIncrementalRouteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCacheCountersMaskIndependent: the cache-hit and dirty-net counters are
-// part of the canonical trace, so they must not depend on whether the caller
-// supplied a moved-cells hint — only on what actually changed.
-func TestCacheCountersMaskIndependent(t *testing.T) {
-	route := func(withHint bool) (hits, dirty int64) {
-		d := synth.MustGenerate("tiny_hot")
-		g := NewGrid(d, 32)
-		r := NewRouter(d, g)
-		r.CacheHits = &telemetry.Counter{}
-		r.DirtyNets = &telemetry.Counter{}
-		r.Route()
-		moved := perturbCells(d, rand.New(rand.NewSource(9)))
-		if withHint {
-			r.SetMovedCells(moved)
-		}
-		r.Route()
-		return r.CacheHits.Value(), r.DirtyNets.Value()
-	}
-	h1, d1 := route(false)
-	h2, d2 := route(true)
-	if h1 != h2 || d1 != d2 {
-		t.Fatalf("counters depend on the hint: no-hint (hits=%d dirty=%d) vs hint (hits=%d dirty=%d)",
-			h1, d1, h2, d2)
-	}
-	if d1 == 0 {
-		t.Fatalf("perturbation produced no dirty nets — test is vacuous")
-	}
-	if h1 == 0 {
-		t.Fatalf("perturbation left no clean nets — test is vacuous")
-	}
-}
-
 // TestCacheCountersSteadyState: with unchanged positions every active net is
 // a cache hit and none are dirty.
 func TestCacheCountersSteadyState(t *testing.T) {
@@ -239,98 +199,86 @@ func TestDecompositionSignatureRoundTrip(t *testing.T) {
 // net dirty, zero hits), then exactly one movable cell crosses a G-cell
 // boundary, and call 2 must count each of that cell's nets dirty exactly
 // once and every other active net as exactly one hit. A regression that
-// double-counts a dirty net — e.g. counting it once in the moved-hint branch
-// and again in the signature branch, or adding the counters twice per call —
-// shifts these totals and fails the pinned equalities. The scenario runs with
-// and without the moved-cells hint; both must land on identical totals.
+// double-counts a dirty net, or adds the counters twice per call, shifts
+// these totals and fails the pinned equalities. The scenario runs as the
+// subtest "nohint": the router sees the move only by re-bucketing pins,
+// with no hint of which cells moved.
 func TestDirtyNetCountsPinnedTwoCall(t *testing.T) {
-	for _, withHint := range []bool{false, true} {
-		name := "nohint"
-		if withHint {
-			name = "hint"
+	t.Run("nohint", func(t *testing.T) {
+		d := synth.MustGenerate("tiny_hot")
+		g := NewGrid(d, 32)
+		r := NewRouter(d, g)
+		r.CacheHits = &telemetry.Counter{}
+		r.DirtyNets = &telemetry.Counter{}
+
+		active := 0
+		for e := range d.Nets {
+			if d.Nets[e].Degree() >= 2 {
+				active++
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			d := synth.MustGenerate("tiny_hot")
-			g := NewGrid(d, 32)
-			r := NewRouter(d, g)
-			r.CacheHits = &telemetry.Counter{}
-			r.DirtyNets = &telemetry.Counter{}
 
-			active := 0
-			for e := range d.Nets {
-				if d.Nets[e].Degree() >= 2 {
-					active++
-				}
-			}
+		// Call 1: full decomposition.
+		r.Route()
+		if got := r.DirtyNets.Value(); got != int64(active) {
+			t.Fatalf("call 1: dirty = %d, want all %d active nets", got, active)
+		}
+		if got := r.CacheHits.Value(); got != 0 {
+			t.Fatalf("call 1: hits = %d, want 0", got)
+		}
 
-			// Call 1: full decomposition.
-			r.Route()
-			if got := r.DirtyNets.Value(); got != int64(active) {
-				t.Fatalf("call 1: dirty = %d, want all %d active nets", got, active)
+		// Move exactly one movable cell a full G-cell pitch in X, so every
+		// one of its pins crosses a boundary and exactly its nets go dirty.
+		cell := -1
+		for i := range d.Cells {
+			if d.Cells[i].Movable() {
+				cell = i
+				break
 			}
-			if got := r.CacheHits.Value(); got != 0 {
-				t.Fatalf("call 1: hits = %d, want 0", got)
+		}
+		if cell < 0 {
+			t.Fatal("design has no movable cell")
+		}
+		if d.Cells[cell].X+g.CellW < d.Die.Hi.X {
+			d.Cells[cell].X += g.CellW
+		} else {
+			d.Cells[cell].X -= g.CellW
+		}
+		wantDirty := 0
+		for e := range d.Nets {
+			net := &d.Nets[e]
+			if net.Degree() < 2 {
+				continue
 			}
-
-			// Move exactly one movable cell a full G-cell pitch in X, so every
-			// one of its pins crosses a boundary and exactly its nets go dirty.
-			cell := -1
-			for i := range d.Cells {
-				if d.Cells[i].Movable() {
-					cell = i
+			for _, pi := range net.Pins {
+				if d.Pins[pi].Cell == cell {
+					wantDirty++
 					break
 				}
 			}
-			if cell < 0 {
-				t.Fatal("design has no movable cell")
-			}
-			if d.Cells[cell].X+g.CellW < d.Die.Hi.X {
-				d.Cells[cell].X += g.CellW
-			} else {
-				d.Cells[cell].X -= g.CellW
-			}
-			wantDirty := 0
-			for e := range d.Nets {
-				net := &d.Nets[e]
-				if net.Degree() < 2 {
-					continue
-				}
-				for _, pi := range net.Pins {
-					if d.Pins[pi].Cell == cell {
-						wantDirty++
-						break
-					}
-				}
-			}
-			if wantDirty == 0 {
-				t.Fatalf("cell %d drives no active net — test is vacuous", cell)
-			}
-			if withHint {
-				moved := make([]bool, len(d.Cells))
-				moved[cell] = true
-				r.SetMovedCells(moved)
-			}
+		}
+		if wantDirty == 0 {
+			t.Fatalf("cell %d drives no active net — test is vacuous", cell)
+		}
+		// Call 2: exactly the moved cell's nets are dirty, once each.
+		r.Route()
+		if got := r.DirtyNets.Value(); got != int64(active+wantDirty) {
+			t.Fatalf("call 2: dirty total = %d, want %d (%d from call 1 + %d nets of the moved cell, each once)",
+				got, active+wantDirty, active, wantDirty)
+		}
+		if got := r.CacheHits.Value(); got != int64(active-wantDirty) {
+			t.Fatalf("call 2: hit total = %d, want %d clean nets", got, active-wantDirty)
+		}
 
-			// Call 2: exactly the moved cell's nets are dirty, once each.
-			r.Route()
-			if got := r.DirtyNets.Value(); got != int64(active+wantDirty) {
-				t.Fatalf("call 2: dirty total = %d, want %d (%d from call 1 + %d nets of the moved cell, each once)",
-					got, active+wantDirty, active, wantDirty)
-			}
-			if got := r.CacheHits.Value(); got != int64(active-wantDirty) {
-				t.Fatalf("call 2: hit total = %d, want %d clean nets", got, active-wantDirty)
-			}
-
-			// Call 3, nothing moved: hits advance by the full active count and
-			// the dirty total must not move at all.
-			r.Route()
-			if got := r.DirtyNets.Value(); got != int64(active+wantDirty) {
-				t.Fatalf("call 3: dirty total moved to %d without any position change, want %d",
-					got, active+wantDirty)
-			}
-			if got := r.CacheHits.Value(); got != int64(2*active-wantDirty) {
-				t.Fatalf("call 3: hit total = %d, want %d", got, 2*active-wantDirty)
-			}
-		})
-	}
+		// Call 3, nothing moved: hits advance by the full active count and
+		// the dirty total must not move at all.
+		r.Route()
+		if got := r.DirtyNets.Value(); got != int64(active+wantDirty) {
+			t.Fatalf("call 3: dirty total moved to %d without any position change, want %d",
+				got, active+wantDirty)
+		}
+		if got := r.CacheHits.Value(); got != int64(2*active-wantDirty) {
+			t.Fatalf("call 3: hit total = %d, want %d", got, 2*active-wantDirty)
+		}
+	})
 }

@@ -127,11 +127,6 @@ func (g *Grid) CellAt(x, y float64) (int, int) {
 	return geom.ClampInt(cx, 0, g.NX-1), geom.ClampInt(cy, 0, g.NY-1)
 }
 
-// CellCenter returns the center coordinates of G-cell (cx, cy).
-func (g *Grid) CellCenter(cx, cy int) (float64, float64) {
-	return g.Die.Lo.X + (float64(cx)+0.5)*g.CellW, g.Die.Lo.Y + (float64(cy)+0.5)*g.CellH
-}
-
 // CapTotal returns the total capacity of G-cell i summed over layers
 // (Cap_{m,n} of Sec. II-B).
 func (g *Grid) CapTotal(i int) float64 {
@@ -237,22 +232,6 @@ func (r *Result) AvgCongestion() float64 {
 func (r *Result) CongestionAt(x, y float64) float64 {
 	cx, cy := r.Grid.CellAt(x, y)
 	return r.Congestion[cy*r.Grid.NX+cx]
-}
-
-// UtilAt returns the utilization of the G-cell containing (x, y).
-func (r *Result) UtilAt(x, y float64) float64 {
-	cx, cy := r.Grid.CellAt(x, y)
-	return r.Util[cy*r.Grid.NX+cx]
-}
-
-// WeightedCongestion returns Σ congestion·area, a scalar used to track
-// whether C(x,y) is still decreasing (the loop exit test in Fig. 2).
-func (r *Result) WeightedCongestion() float64 {
-	var s float64
-	for _, c := range r.Congestion {
-		s += c
-	}
-	return s * r.Grid.CellW * r.Grid.CellH
 }
 
 // maxFloat is a tiny helper avoiding math.Max churn in hot loops.

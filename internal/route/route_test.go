@@ -196,16 +196,11 @@ func TestAvgAndAtAccessors(t *testing.T) {
 	if math.Abs(res.AvgCongestion()-sum/float64(len(res.Congestion))) > 1e-12 {
 		t.Errorf("AvgCongestion wrong")
 	}
-	// CongestionAt must agree with direct indexing.
-	x, y := g.CellCenter(5, 7)
+	// CongestionAt must agree with direct indexing at G-cell (5, 7)'s center.
+	x := g.Die.Lo.X + 5.5*g.CellW
+	y := g.Die.Lo.Y + 7.5*g.CellH
 	if res.CongestionAt(x, y) != res.Congestion[7*g.NX+5] {
 		t.Errorf("CongestionAt disagrees with map")
-	}
-	if res.UtilAt(x, y) != res.Util[7*g.NX+5] {
-		t.Errorf("UtilAt disagrees with map")
-	}
-	if res.WeightedCongestion() < 0 {
-		t.Errorf("negative weighted congestion")
 	}
 }
 

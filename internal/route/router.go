@@ -56,9 +56,8 @@ type Router struct {
 
 	// CacheHits and DirtyNets count, per decomposition pass, the nets served
 	// from the incremental cache and the nets re-decomposed. Nil-safe: a
-	// router without telemetry leaves them nil. The counts are deterministic
-	// (independent of the SetMovedCells hint), so they live in the
-	// canonical trace.
+	// router without telemetry leaves them nil. The counts are a function of
+	// the pin G-cell signatures alone, so they live in the canonical trace.
 	CacheHits *telemetry.Counter
 	DirtyNets *telemetry.Counter
 
@@ -69,10 +68,9 @@ type Router struct {
 	capTot []float64 // cached total capacity per G-cell
 	hl, vl []int     // cached DirLayers results (assembleResult is hot)
 
-	cf    costField
-	dc    decompCache
-	moved []bool  // position-delta hint for the next route call (consumed)
-	res   *Result // reused result; see Route for the ownership contract
+	cf  costField
+	dc  decompCache
+	res *Result // reused result; see Route for the ownership contract
 }
 
 // NewRouter creates a router with the default knobs.
@@ -96,16 +94,6 @@ func NewRouter(d *netlist.Design, g *Grid) *Router {
 	r.cf.init(g.NX, g.NY)
 	return r
 }
-
-// SetMovedCells hands the router a conservative position-delta hint for the
-// NEXT route call: a cell not flagged true must not have changed position
-// since the previous route call on this router, so none of its pins can
-// have crossed a G-cell boundary and nets touching only unflagged cells
-// skip the signature check. nil (and any router that is never given a
-// hint) means "unknown — check every net". The hint is consumed by one
-// route call and is performance-only: routes and the CacheHits/DirtyNets
-// counters are identical with or without it.
-func (r *Router) SetMovedCells(moved []bool) { r.moved = moved }
 
 // Reset clears the per-call routing state — the rip-up-and-reroute overflow
 // history and the demand maps — returning the router to its
