@@ -74,7 +74,7 @@ func checkpointAt(t *testing.T, design, point string, obs *telemetry.Observer) s
 
 // checkpointWith runs the design under opt at one worker until the
 // scheduled checkpoint at point, and returns the checkpoint file path.
-func checkpointWith(t *testing.T, design, point string, opt Options) string {
+func checkpointWith(t testing.TB, design, point string, opt Options) string {
 	t.Helper()
 	ckPath := filepath.Join(t.TempDir(), "run.ckpt")
 	opt.Workers = 1
@@ -457,19 +457,46 @@ func TestWriteVecMatchesFmt(t *testing.T) {
 		}
 	}
 	for _, vec := range [][]float64{nil, v[:1], v[:5], v} {
-		var got, want bytes.Buffer
-		got.WriteString("cells 3\n")
+		var want bytes.Buffer
 		want.WriteString("cells 3\n")
-		writeRecord(&got, "vec cellpos", []any{&vec})
+		got := appendRecord([]byte("cells 3\n"), "vec cellpos", []any{&vec})
 		writeVecFmt(&want, "cellpos", vec)
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			g, w := strings.Fields(got.String()), strings.Fields(want.String())
+		if !bytes.Equal(got, want.Bytes()) {
+			g, w := strings.Fields(string(got)), strings.Fields(want.String())
 			for i := range min(len(g), len(w)) {
 				if g[i] != w[i] {
 					t.Fatalf("%d elements: field %d is %q, fmt gives %q", len(vec), i, g[i], w[i])
 				}
 			}
-			t.Fatalf("%d elements: %d bytes, fmt gives %d", len(vec), got.Len(), want.Len())
+			t.Fatalf("%d elements: %d bytes, fmt gives %d", len(vec), len(got), want.Len())
 		}
+	}
+}
+
+// TestEncodedSizeBound: the buffer writeCheckpoint sizes up front holds the
+// whole text, for the seed checkpoint and for one whose every vector
+// element takes a float64's widest form.
+func TestEncodedSizeBound(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "seed.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := readCheckpoint(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound := ck.encodedSizeBound(); bound < len(raw) {
+		t.Fatalf("bound %d for the seed's %d bytes", bound, len(raw))
+	}
+	for i := range ck.CellPos {
+		ck.CellPos[i] = -2.2250738585072014e-308 // 24 bytes as %g
+	}
+	ck.Opt.MaxWLIters, ck.Res.WLIters = math.MinInt, math.MinInt
+	var buf bytes.Buffer
+	if err := writeCheckpoint(&buf, ck); err != nil {
+		t.Fatal(err)
+	}
+	if bound := ck.encodedSizeBound(); bound < buf.Len() {
+		t.Fatalf("bound %d for %d bytes of widest values", bound, buf.Len())
 	}
 }

@@ -286,51 +286,97 @@ func writeCheckpointFile(path string, ck *checkpoint) error {
 }
 
 // writeCheckpoint serializes ck in the canonical text form: the body,
-// then the CRC-32 footer over the body's bytes.
+// then the CRC-32 footer over the body's bytes. The text is appended into
+// one buffer sized up front (encodedSizeBound), so encoding never regrows
+// or copies it.
 func writeCheckpoint(w io.Writer, ck *checkpoint) error {
-	var buf bytes.Buffer
-	writeCheckpointBody(&buf, ck)
-	sum := crc32.ChecksumIEEE(buf.Bytes())
-	fmt.Fprintf(&buf, "crc %08x\n", sum)
-	_, err := w.Write(buf.Bytes())
+	b := appendCheckpointBody(make([]byte, 0, ck.encodedSizeBound()), ck)
+	b = fmt.Appendf(b, "crc %08x\n", crc32.ChecksumIEEE(b))
+	_, err := w.Write(b)
 	return err
 }
 
-func writeCheckpointBody(bw *bytes.Buffer, ck *checkpoint) {
-	fmt.Fprintf(bw, "# nmplace checkpoint\n")
-	fmt.Fprintf(bw, "nmckpt %d\n", checkpointVersion)
+// Widest encodings: a float64's shortest 'g' form is at most 24 bytes
+// ("-2.2250738585072014e-308"), an int at most 20; each with its separator.
+const (
+	floatBytes = 25
+	intBytes   = 21
+)
+
+// encodedSizeBound bounds the length of ck's text from the record table's
+// field counts and vector lengths, plus the telemetry lines, whose names
+// are the only unbounded part.
+func (ck *checkpoint) encodedSizeBound() int {
+	n := 64 // the header, "end" and the crc footer
+	for _, r := range ck.records() {
+		if !r.write {
+			continue
+		}
+		n += len(r.key) + 1
+		for _, f := range r.fields {
+			switch f := f.(type) {
+			case *[]float64:
+				n += intBytes + floatBytes*len(*f)
+			case *string:
+				n += 1 + len(*f)
+			case orDash:
+				n += 2 + len(*f.s)
+			default:
+				n += floatBytes
+			}
+		}
+	}
+	if st := ck.Tel; st != nil {
+		n += 2 * intBytes
+		for _, s := range st.OpenSpans {
+			n += 16 + intBytes + len(s.Name)
+		}
+		for _, a := range st.Stages {
+			n += 16 + 3*intBytes + len(a.Name)
+		}
+		for i := range st.Metrics {
+			m := &st.Metrics[i]
+			n += 16 + len(m.Name) + 4*floatBytes + intBytes*(1+len(m.Buckets))
+		}
+	}
+	return n
+}
+
+func appendCheckpointBody(b []byte, ck *checkpoint) []byte {
+	b = fmt.Appendf(b, "# nmplace checkpoint\n")
+	b = fmt.Appendf(b, "nmckpt %d\n", checkpointVersion)
 	for _, r := range ck.records() {
 		if r.write {
-			writeRecord(bw, r.key, r.fields)
+			b = appendRecord(b, r.key, r.fields)
 		}
 	}
 	if ck.Tel != nil {
 		st := ck.Tel
-		fmt.Fprintf(bw, "tel %d %d\n", st.Seq, st.NextSpanID)
+		b = fmt.Appendf(b, "tel %d %d\n", st.Seq, st.NextSpanID)
 		for _, s := range st.OpenSpans {
-			fmt.Fprintf(bw, "telspan %d %s\n", s.ID, s.Name)
+			b = fmt.Appendf(b, "telspan %d %s\n", s.ID, s.Name)
 		}
 		for _, a := range st.Stages {
-			fmt.Fprintf(bw, "telagg %s %d %d %d\n", a.Name, a.Depth, a.Count, int64(a.Total))
+			b = fmt.Appendf(b, "telagg %s %d %d %d\n", a.Name, a.Depth, a.Count, int64(a.Total))
 		}
 		for i := range st.Metrics {
 			m := &st.Metrics[i]
 			switch m.Kind {
 			case "counter":
-				fmt.Fprintf(bw, "telctr %s %d\n", m.Name, m.Counter)
+				b = fmt.Appendf(b, "telctr %s %d\n", m.Name, m.Counter)
 			case "gauge":
-				fmt.Fprintf(bw, "telgauge %s %s %s %g\n",
+				b = fmt.Appendf(b, "telgauge %s %s %s %g\n",
 					m.Name, b01(m.Volatile), b01(m.GaugeSet), m.Gauge)
 			case "histogram":
-				fmt.Fprintf(bw, "telhist %s %d %g %g %g", m.Name, m.Count, m.Sum, m.Min, m.Max)
-				for _, b := range m.Buckets {
-					fmt.Fprintf(bw, " %d", b)
+				b = fmt.Appendf(b, "telhist %s %d %g %g %g", m.Name, m.Count, m.Sum, m.Min, m.Max)
+				for _, v := range m.Buckets {
+					b = fmt.Appendf(b, " %d", v)
 				}
-				fmt.Fprintf(bw, "\n")
+				b = append(b, '\n')
 			}
 		}
 	}
-	fmt.Fprintf(bw, "end\n")
+	return append(b, "end\n"...)
 }
 
 func b01(v bool) string {
@@ -340,13 +386,13 @@ func b01(v bool) string {
 	return "0"
 }
 
-// writeRecord writes one record line: the key, then each field.
-func writeRecord(bw *bytes.Buffer, key string, fields []any) {
-	b := append(bw.AvailableBuffer(), key...)
+// appendRecord appends one record line: the key, then each field.
+func appendRecord(b []byte, key string, fields []any) []byte {
+	b = append(b, key...)
 	for _, f := range fields {
 		b = appendField(append(b, ' '), f)
 	}
-	bw.Write(append(b, '\n'))
+	return append(b, '\n')
 }
 
 // appendField is the field encoder. A float is the shortest 'g' form that

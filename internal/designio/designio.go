@@ -16,71 +16,98 @@
 //	net <name> <weight>
 //	pin <cell-index> <net-index> <offx> <offy>
 //	rail <x0> <y0> <x1> <y1> <width>
+//
+// Tokens are separated by runs of white space: every rune unicode.IsSpace
+// reports, as strings.Fields splits. Write therefore maps each such rune in
+// a name to '_' (and an empty name to "_"), so any name reads back as one
+// token; a name without white space keeps its bytes. Numbers are written
+// as fmt's %g and %d write them and read with strconv.ParseFloat and
+// strconv.Atoi; a non-finite number is rejected.
 package designio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
 )
 
 // Write serializes d to w. The output is deterministic and Read-compatible.
+// Each line is appended into one reused buffer and streamed through a
+// bufio.Writer, so the file is never held in memory whole.
 func Write(w io.Writer, d *netlist.Design) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# nmplace design file\n")
-	fmt.Fprintf(bw, "design %s\n", escape(d.Name))
-	fmt.Fprintf(bw, "die %g %g %g %g\n", d.Die.Lo.X, d.Die.Lo.Y, d.Die.Hi.X, d.Die.Hi.Y)
-	fmt.Fprintf(bw, "row %g %g\n", d.RowHeight, d.SiteWidth)
-	fmt.Fprintf(bw, "route %d %g\n", d.RouteLayers, d.RouteCapScale)
-	fmt.Fprintf(bw, "density %g\n", d.TargetDensity)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	line := make([]byte, 0, 256)
+	put := func(b []byte) []byte {
+		b = append(b, '\n')
+		bw.Write(b) // a write error sticks; Flush reports it
+		return b[:0]
+	}
+	floats := func(b []byte, vs ...float64) []byte {
+		for _, v := range vs {
+			b = strconv.AppendFloat(append(b, ' '), v, 'g', -1, 64)
+		}
+		return b
+	}
+	bw.WriteString("# nmplace design file\n")
+	line = put(append(append(line, "design "...), escape(d.Name)...))
+	line = put(floats(append(line, "die"...), d.Die.Lo.X, d.Die.Lo.Y, d.Die.Hi.X, d.Die.Hi.Y))
+	line = put(floats(append(line, "row"...), d.RowHeight, d.SiteWidth))
+	line = put(floats(strconv.AppendInt(append(line, "route "...), int64(d.RouteLayers), 10), d.RouteCapScale))
+	line = put(floats(append(line, "density"...), d.TargetDensity))
 	for i := range d.Cells {
 		c := &d.Cells[i]
-		fmt.Fprintf(bw, "cell %s %s %g %g %g %g\n",
-			escape(c.Name), kindName(c.Kind), c.X, c.Y, c.W, c.H)
+		line = append(append(line, "cell "...), escape(c.Name)...)
+		line = append(append(line, ' '), c.Kind.String()...)
+		line = put(floats(line, c.X, c.Y, c.W, c.H))
 	}
 	for i := range d.Nets {
 		n := &d.Nets[i]
-		fmt.Fprintf(bw, "net %s %g\n", escape(n.Name), n.Weight)
+		line = put(floats(append(append(line, "net "...), escape(n.Name)...), n.Weight))
 	}
 	for i := range d.Pins {
 		p := &d.Pins[i]
-		fmt.Fprintf(bw, "pin %d %d %g %g\n", p.Cell, p.Net, p.OffX, p.OffY)
+		line = strconv.AppendInt(append(line, "pin "...), int64(p.Cell), 10)
+		line = strconv.AppendInt(append(line, ' '), int64(p.Net), 10)
+		line = put(floats(line, p.OffX, p.OffY))
 	}
 	for _, r := range d.Rails {
-		fmt.Fprintf(bw, "rail %g %g %g %g %g\n",
-			r.Seg.A.X, r.Seg.A.Y, r.Seg.B.X, r.Seg.B.Y, r.Width)
+		line = put(floats(append(line, "rail"...), r.Seg.A.X, r.Seg.A.Y, r.Seg.B.X, r.Seg.B.Y, r.Width))
 	}
 	return bw.Flush()
 }
 
 // Read parses a design previously produced by Write (or hand-authored in the
-// same format) and validates it.
+// same format) and validates it. Lines are split in the scanner's buffer;
+// only names are copied out of it.
 func Read(r io.Reader) (*netlist.Design, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	d := &netlist.Design{RouteLayers: 4, RouteCapScale: 1, TargetDensity: 0.9}
 	lineNo := 0
 	sawDie := false
+	var f [][]byte
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		f = fields(f, sc.Bytes())
+		if len(f) == 0 || f[0][0] == '#' {
 			continue
 		}
-		f := strings.Fields(line)
 		var err error
-		switch f[0] {
+		switch string(f[0]) {
 		case "design":
 			if len(f) != 2 {
 				err = fmt.Errorf("design wants 1 field")
 			} else {
-				d.Name = unescape(f[1])
+				d.Name = string(f[1])
 			}
 		case "die":
 			var v [4]float64
@@ -101,7 +128,7 @@ func Read(r io.Reader) (*netlist.Design, error) {
 				err = fmt.Errorf("route wants 2 fields")
 				break
 			}
-			if d.RouteLayers, err = strconv.Atoi(f[1]); err == nil {
+			if d.RouteLayers, err = strconv.Atoi(string(f[1])); err == nil {
 				d.RouteCapScale, err = parseFinite(f[2])
 			}
 		case "density":
@@ -124,7 +151,7 @@ func Read(r io.Reader) (*netlist.Design, error) {
 				break
 			}
 			d.Cells = append(d.Cells, netlist.Cell{
-				Name: unescape(f[1]), Kind: kind, X: v[0], Y: v[1], W: v[2], H: v[3],
+				Name: string(f[1]), Kind: kind, X: v[0], Y: v[1], W: v[2], H: v[3],
 			})
 		case "net":
 			if len(f) != 3 {
@@ -135,17 +162,17 @@ func Read(r io.Reader) (*netlist.Design, error) {
 			if wgt, err = parseFinite(f[2]); err != nil {
 				break
 			}
-			d.Nets = append(d.Nets, netlist.Net{Name: unescape(f[1]), Weight: wgt})
+			d.Nets = append(d.Nets, netlist.Net{Name: string(f[1]), Weight: wgt})
 		case "pin":
 			if len(f) != 5 {
 				err = fmt.Errorf("pin wants 4 fields")
 				break
 			}
 			var ci, ni int
-			if ci, err = strconv.Atoi(f[1]); err != nil {
+			if ci, err = strconv.Atoi(string(f[1])); err != nil {
 				break
 			}
-			if ni, err = strconv.Atoi(f[2]); err != nil {
+			if ni, err = strconv.Atoi(string(f[2])); err != nil {
 				break
 			}
 			var ox, oy float64
@@ -163,10 +190,7 @@ func Read(r io.Reader) (*netlist.Design, error) {
 				err = fmt.Errorf("pin references net %d of %d", ni, len(d.Nets))
 				break
 			}
-			pi := len(d.Pins)
 			d.Pins = append(d.Pins, netlist.Pin{Cell: ci, Net: ni, OffX: ox, OffY: oy})
-			d.Cells[ci].Pins = append(d.Cells[ci].Pins, pi)
-			d.Nets[ni].Pins = append(d.Nets[ni].Pins, pi)
 		case "rail":
 			if len(f) != 6 {
 				err = fmt.Errorf("rail wants 5 fields")
@@ -197,16 +221,56 @@ func Read(r io.Reader) (*netlist.Design, error) {
 	if !sawDie {
 		return nil, fmt.Errorf("designio: missing die directive")
 	}
-	for i := range d.Cells {
-		d.Cells[i].NumPins = len(d.Cells[i].Pins)
-	}
+	d.LinkPins()
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("designio: %w", err)
 	}
 	return d, nil
 }
 
-func floats4(f []string) ([4]float64, error) {
+// Byte classes for fields: a token byte, an ASCII byte unicode.IsSpace
+// reports, or a byte ≥ 0x80.
+const (
+	tokenByte = iota
+	spaceByte
+	wideByte
+)
+
+var byteClass = func() (c [256]uint8) {
+	for _, b := range "\t\n\v\f\r " {
+		c[b] = spaceByte
+	}
+	for b := utf8.RuneSelf; b < 256; b++ {
+		c[b] = wideByte
+	}
+	return c
+}()
+
+// fields returns line's white-space-separated tokens, as bytes.Fields
+// splits them, reusing dst's storage. An ASCII line is split in one pass;
+// a line holding any byte ≥ 0x80 goes to bytes.Fields, which decodes its
+// runes.
+func fields(dst [][]byte, line []byte) [][]byte {
+	dst = dst[:0]
+	for i, n := 0, len(line); i < n; {
+		for i < n && byteClass[line[i]] == spaceByte {
+			i++
+		}
+		start := i
+		for i < n && byteClass[line[i]] == tokenByte {
+			i++
+		}
+		if i < n && byteClass[line[i]] == wideByte {
+			return append(dst[:0], bytes.Fields(line)...)
+		}
+		if start < i {
+			dst = append(dst, line[start:i])
+		}
+	}
+	return dst
+}
+
+func floats4(f [][]byte) ([4]float64, error) {
 	var out [4]float64
 	if len(f) < 4 {
 		return out, fmt.Errorf("want 4 numbers, got %d", len(f))
@@ -225,21 +289,19 @@ func floats4(f []string) ([4]float64, error) {
 // weight quantity in the format must be finite, and strconv.ParseFloat
 // happily accepts "NaN". One poisoned coordinate would otherwise slip past
 // Validate (NaN compares false to every bound) straight into the optimizer.
-func parseFinite(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
+func parseFinite(tok []byte) (float64, error) {
+	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		return 0, err
 	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("non-finite value %q", s)
+		return 0, fmt.Errorf("non-finite value %q", tok)
 	}
 	return v, nil
 }
 
-func kindName(k netlist.CellKind) string { return k.String() }
-
-func parseKind(s string) (netlist.CellKind, error) {
-	switch s {
+func parseKind(tok []byte) (netlist.CellKind, error) {
+	switch string(tok) {
 	case "stdcell":
 		return netlist.StdCell, nil
 	case "macro":
@@ -247,21 +309,25 @@ func parseKind(s string) (netlist.CellKind, error) {
 	case "iopad":
 		return netlist.IOPad, nil
 	default:
-		return 0, fmt.Errorf("unknown cell kind %q", s)
+		return 0, fmt.Errorf("unknown cell kind %q", tok)
 	}
 }
 
-// escape protects whitespace in names (names are tokens in the format).
+// escape makes a name one token: every white-space rune becomes '_', and an
+// empty name is "_". A name of ASCII non-space bytes is returned as is.
 func escape(s string) string {
 	if s == "" {
 		return "_"
 	}
-	return strings.Map(func(r rune) rune {
-		if r == ' ' || r == '\t' || r == '\n' {
-			return '_'
+	for i := 0; i < len(s); i++ {
+		if byteClass[s[i]] != tokenByte {
+			return strings.Map(func(r rune) rune {
+				if unicode.IsSpace(r) {
+					return '_'
+				}
+				return r
+			}, s)
 		}
-		return r
-	}, s)
+	}
+	return s
 }
-
-func unescape(s string) string { return s }

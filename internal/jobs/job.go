@@ -97,17 +97,23 @@ type JobView struct {
 }
 
 // jobRecord is the on-disk form (job.json) that lets a fresh process adopt
-// the job after a crash. The spec is stored verbatim so segments in the new
-// process rebuild the identical design and options.
+// the job after a crash. The spec is stored verbatim, except that an inline
+// payload lives in its own file (payloadFile) and the record holds its
+// SHA-256, so segments in the new process rebuild the identical design and
+// options.
 type jobRecord struct {
-	ID       string    `json:"id"`
-	Seq      int       `json:"seq"`
-	Spec     Spec      `json:"spec"`
-	State    State     `json:"state"`
-	Created  time.Time `json:"created"`
-	Segments int       `json:"segments"`
-	Error    string    `json:"error,omitempty"`
-	Summary  *Summary  `json:"summary,omitempty"`
+	ID   string `json:"id"`
+	Seq  int    `json:"seq"`
+	Spec Spec   `json:"spec"`
+	// PayloadSHA256 is the hex SHA-256 of an inline job's payloadFile; empty
+	// for a catalog design. A record that still embeds Spec.Payload predates
+	// payloadFile and is migrated on recovery.
+	PayloadSHA256 string    `json:"payload_sha256,omitempty"`
+	State         State     `json:"state"`
+	Created       time.Time `json:"created"`
+	Segments      int       `json:"segments"`
+	Error         string    `json:"error,omitempty"`
+	Summary       *Summary  `json:"summary,omitempty"`
 	// Restarts/Poisoned persist the supervision history so a restarted
 	// daemon neither resets a job's crash budget nor revives a quarantined
 	// job. Boundaries persists the global boundary index that keys
@@ -119,11 +125,14 @@ type jobRecord struct {
 
 // job is the manager's internal bookkeeping for one placement.
 type job struct {
-	id      string
-	seq     int
-	spec    Spec
-	dir     string // per-job state directory
-	created time.Time
+	id   string
+	seq  int
+	spec Spec // without the inline payload, which only payloadFile holds
+	// payloadSum is the hex SHA-256 of payloadFile; empty for a catalog
+	// design.
+	payloadSum string
+	dir        string // per-job state directory
+	created    time.Time
 
 	state    State
 	errMsg   string

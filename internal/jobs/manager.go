@@ -22,8 +22,9 @@ import (
 // Config parameterizes a Manager.
 type Config struct {
 	// Dir is the state directory. Every job lives in Dir/<id>/ (job.json,
-	// trace.jsonl, run.ckpt, out.place); a Manager opened over an existing
-	// directory adopts the jobs it finds there.
+	// an inline job's payload.design, trace.jsonl, run.ckpt, out.place); a
+	// Manager opened over an existing directory adopts the jobs it finds
+	// there.
 	Dir string
 	// Capacity is the worker-slot pool shared by all running jobs
 	// (default 1). A job occupies its (clamped) Workers budget while running.
@@ -241,25 +242,45 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 		created: time.Now().UTC(),
 		state:   StateQueued,
 	}
+	j.spec.Payload = "" // payloadFile holds it from here on
 	j.dir = filepath.Join(m.cfg.Dir, j.id)
-	if err := os.MkdirAll(j.dir, 0o755); err != nil {
+	if err := m.createLocked(j, spec.Payload); err != nil {
+		os.RemoveAll(j.dir)
 		return "", err
 	}
-	f, err := os.OpenFile(m.tracePath(j), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return "", err
-	}
-	j.traceFile = f
-	j.hub = telemetry.NewHub(f)
 	m.jobs[j.id] = j
-	if err := m.persistLocked(j); err != nil {
-		return "", err
-	}
 	m.sched.add(j.id, j.seq, j.spec.Priority, m.budget(&j.spec))
 	m.logf("submitted %s design=%s mode=%s workers=%d priority=%d",
 		j.id, j.spec.DesignName(), j.spec.Mode, m.budget(&j.spec), j.spec.Priority)
 	m.scheduleLocked()
 	return j.id, nil
+}
+
+// createLocked makes a new job's state dir: the inline payload written
+// once, raw and fsynced, as payloadFile, then an empty trace and job.json.
+// On an error the caller removes the directory; the job is not registered.
+func (m *Manager) createLocked(j *job, payload string) error {
+	if err := os.MkdirAll(j.dir, 0o755); err != nil {
+		return err
+	}
+	if payload != "" {
+		data := []byte(payload)
+		if err := writeFileAtomic(filepath.Join(j.dir, payloadFile), data); err != nil {
+			return err
+		}
+		j.payloadSum = payloadDigest(data)
+	}
+	f, err := os.OpenFile(m.tracePath(j), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if err := m.persistLocked(j); err != nil {
+		f.Close()
+		return err
+	}
+	j.traceFile = f
+	j.hub = telemetry.NewHub(f)
+	return nil
 }
 
 // queuedLocked counts jobs waiting in state queued (including crash backoff).
@@ -942,17 +963,18 @@ func (m *Manager) tracePath(j *job) string {
 
 func (m *Manager) persistLocked(j *job) error {
 	rec := jobRecord{
-		ID:         j.id,
-		Seq:        j.seq,
-		Spec:       j.spec,
-		State:      j.state,
-		Created:    j.created,
-		Segments:   j.segments,
-		Error:      j.errMsg,
-		Summary:    j.summary,
-		Restarts:   j.restarts,
-		Poisoned:   j.poisoned,
-		Boundaries: j.boundaryTotal,
+		ID:            j.id,
+		Seq:           j.seq,
+		Spec:          j.spec,
+		PayloadSHA256: j.payloadSum,
+		State:         j.state,
+		Created:       j.created,
+		Segments:      j.segments,
+		Error:         j.errMsg,
+		Summary:       j.summary,
+		Restarts:      j.restarts,
+		Poisoned:      j.poisoned,
+		Boundaries:    j.boundaryTotal,
 	}
 	data, err := json.MarshalIndent(&rec, "", "  ")
 	if err != nil {
@@ -1011,6 +1033,7 @@ func (m *Manager) recover() error {
 			id:            rec.ID,
 			seq:           rec.Seq,
 			spec:          rec.Spec,
+			payloadSum:    rec.PayloadSHA256,
 			dir:           dir,
 			created:       rec.Created,
 			state:         rec.State,
@@ -1021,6 +1044,9 @@ func (m *Manager) recover() error {
 			poisoned:      rec.Poisoned,
 			boundaryTotal: rec.Boundaries,
 		}
+		if err := m.migratePayload(j); err != nil {
+			return fmt.Errorf("recover %s: %w", j.id, err)
+		}
 		if err := m.recoverJob(j); err != nil {
 			return fmt.Errorf("recover %s: %w", j.id, err)
 		}
@@ -1030,6 +1056,24 @@ func (m *Manager) recover() error {
 		}
 	}
 	return nil
+}
+
+// migratePayload moves the payload a job.json written before payloadFile
+// existed still embeds into payloadFile, then rewrites job.json without it,
+// so a worker has one way to get its design. A crash between the two
+// writes leaves the old record, which the next recovery migrates again.
+func (m *Manager) migratePayload(j *job) error {
+	if j.spec.Payload == "" {
+		return nil
+	}
+	data := []byte(j.spec.Payload)
+	if err := writeFileAtomic(filepath.Join(j.dir, payloadFile), data); err != nil {
+		return err
+	}
+	j.payloadSum = payloadDigest(data)
+	j.spec.Payload = ""
+	m.logf("%s: moved the inline payload out of job.json into %s", j.id, payloadFile)
+	return m.persistLocked(j)
 }
 
 // recoverJob rebuilds one adopted job's runtime state (hub, trace file,

@@ -3,8 +3,10 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -333,5 +335,132 @@ func TestTruncateTrace(t *testing.T) {
 	got, _ = os.ReadFile(path)
 	if string(got) != "{\"seq\":0}\n{\"seq\":1}\n{\"seq\":2}\n" {
 		t.Fatalf("torn tail survived: %q", got)
+	}
+}
+
+// inlineSpec is fastSpec with tiny_hot sent as an inline payload.
+func inlineSpec(t *testing.T) Spec {
+	t.Helper()
+	spec := fastSpec()
+	d, err := spec.BuildDesign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload bytes.Buffer
+	if err := designio.Write(&payload, d); err != nil {
+		t.Fatal(err)
+	}
+	spec.Design, spec.Payload = "", payload.String()
+	return spec
+}
+
+// writeJobDir lays out one job's state dir by hand: job.json as
+// persistLocked encodes it, and payload.design when payload is non-nil.
+func writeJobDir(t *testing.T, dir string, rec *jobRecord, payload []byte) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job.json"), append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if payload != nil {
+		if err := os.WriteFile(filepath.Join(dir, payloadFile), payload, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// assertPayloadStored checks an inline job's state dir: payload.design
+// holds the payload's bytes and job.json holds its SHA-256, not the payload.
+func assertPayloadStored(t *testing.T, dir, payload string) {
+	t.Helper()
+	got, err := os.ReadFile(filepath.Join(dir, payloadFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != payload {
+		t.Errorf("%s holds %d bytes, want the payload's %d", payloadFile, len(got), len(payload))
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec jobRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Spec.Payload != "" || bytes.Contains(raw, []byte(`"payload"`)) {
+		t.Error("job.json still embeds the payload")
+	}
+	if want := payloadDigest([]byte(payload)); rec.PayloadSHA256 != want {
+		t.Errorf("job.json records SHA-256 %q, want %q", rec.PayloadSHA256, want)
+	}
+}
+
+// TestSubmitStoresPayloadOnce: an inline payload is written once, as
+// payload.design, and job.json keeps its digest; the job places exactly
+// like the plain run.
+func TestSubmitStoresPayloadOnce(t *testing.T) {
+	m, err := Open(workerConfig(t, Config{Dir: t.TempDir()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	spec := inlineSpec(t)
+	id, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, id, StateDone)
+	assertJobMatchesReference(t, m, id)
+	assertPayloadStored(t, filepath.Join(m.cfg.Dir, id), spec.Payload)
+}
+
+// TestRecoveryMigratesEmbeddedPayload adopts a state dir whose queued job's
+// job.json embeds its payload, the layout before payload.design: recovery
+// moves the payload out of the record, and the job places exactly like the
+// plain run.
+func TestRecoveryMigratesEmbeddedPayload(t *testing.T) {
+	dir := t.TempDir()
+	spec := inlineSpec(t)
+	rec := jobRecord{ID: "j0001", Seq: 1, Spec: spec, State: StateQueued, Created: time.Now().UTC()}
+	writeJobDir(t, filepath.Join(dir, "j0001"), &rec, nil)
+	m, err := Open(workerConfig(t, Config{Dir: dir}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	assertPayloadStored(t, filepath.Join(dir, "j0001"), spec.Payload)
+	waitState(t, m, "j0001", StateDone)
+	assertJobMatchesReference(t, m, "j0001")
+}
+
+// TestPayloadDigestMismatchFailsWithoutRetry: a payload.design whose SHA-256
+// is not the one job.json records fails the job at once — no restart, no
+// quarantine — naming the mismatch.
+func TestPayloadDigestMismatchFailsWithoutRetry(t *testing.T) {
+	dir := t.TempDir()
+	spec := inlineSpec(t)
+	payload := []byte(spec.Payload)
+	spec.Payload = ""
+	rec := jobRecord{ID: "j0001", Seq: 1, Spec: spec, State: StateQueued, Created: time.Now().UTC(),
+		PayloadSHA256: payloadDigest(append(payload, "# edited\n"...))}
+	writeJobDir(t, filepath.Join(dir, "j0001"), &rec, payload)
+	m, err := Open(workerConfig(t, Config{Dir: dir}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	v := waitState(t, m, "j0001", StateFailed)
+	if v.Restarts != 0 || v.Poisoned {
+		t.Errorf("restarts = %d, poisoned = %v; want 0, false", v.Restarts, v.Poisoned)
+	}
+	if !strings.Contains(v.Error, "SHA-256") {
+		t.Errorf("error %q does not name the digest mismatch", v.Error)
 	}
 }

@@ -21,7 +21,13 @@
 package jobs
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/core"
@@ -182,6 +188,42 @@ func (s *Spec) BuildDesign() (*netlist.Design, error) {
 	d, err := designio.Read(strings.NewReader(s.Payload))
 	if err != nil {
 		return nil, fmt.Errorf("jobs: inline payload: %w", err)
+	}
+	return d, nil
+}
+
+// payloadFile holds an inline job's payload, raw, beside its job.json.
+const payloadFile = "payload.design"
+
+// payloadDigest is the hex SHA-256 a job record keeps of its payloadFile.
+func payloadDigest(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// errBadPayload marks a stored payload that is missing, does not match its
+// record's digest, or does not parse: the state dir's bytes decide that, so
+// a retry would fail the same way.
+var errBadPayload = errors.New("jobs: stored payload")
+
+// loadDesign builds the design of the job whose state dir is dir: the
+// catalog design, or the payloadFile beside job.json once its SHA-256
+// matches the record's.
+func (r *jobRecord) loadDesign(dir string) (*netlist.Design, error) {
+	if r.Spec.Design != "" {
+		return r.Spec.BuildDesign()
+	}
+	data, err := os.ReadFile(filepath.Join(dir, payloadFile))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errBadPayload, err)
+	}
+	if sum := payloadDigest(data); sum != r.PayloadSHA256 {
+		return nil, fmt.Errorf("%w: %s has SHA-256 %s, job.json records %q",
+			errBadPayload, payloadFile, sum, r.PayloadSHA256)
+	}
+	d, err := designio.Read(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errBadPayload, err)
 	}
 	return d, nil
 }

@@ -25,11 +25,13 @@ package jobs
 //     atomic, so the restarted daemon migrates the job from the last one.
 //
 // Exit codes extend the placer CLI's contract (DESIGN.md §9): 0 done,
-// 2 usage, and core.ExitCode's classes of a failed run (1 generic error,
-// 3 cancelled, 4 corrupt checkpoint, 5 degenerate design, 6 guard failure,
-// 8 no room to legalize), plus workerExitStopped (7) for a scheduled
-// boundary stop. Anything else — a panic-free crash, an injected crash, a
-// kill — is unclassified and triggers the supervisor's crash-resume path.
+// 2 usage (also a stored payload that is missing, fails its SHA-256 check
+// or does not parse), and core.ExitCode's classes of a failed run
+// (1 generic error, 3 cancelled, 4 corrupt checkpoint, 5 degenerate design,
+// 6 guard failure, 8 no room to legalize), plus workerExitStopped (7) for a
+// scheduled boundary stop. Anything else — a panic-free crash, an injected
+// crash, a kill — is unclassified and triggers the supervisor's
+// crash-resume path.
 
 import (
 	"bytes"
@@ -215,9 +217,12 @@ func RunWorker(args []string) (code int) {
 		}
 	}()
 
-	d, err := rec.Spec.BuildDesign()
+	d, err := rec.loadDesign(*dir)
 	if err != nil {
 		mux.control(ctlMsg{Type: "fail", Error: err.Error()})
+		if errors.Is(err, errBadPayload) {
+			return workerExitUsage // the same bytes would fail a retry
+		}
 		return core.ExitError
 	}
 	opt := rec.Spec.coreOptions()

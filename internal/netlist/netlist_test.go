@@ -2,6 +2,8 @@ package netlist
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -241,4 +243,49 @@ func TestConnectPanicsOnBadIndex(t *testing.T) {
 		}
 	}()
 	b.Connect(0, 0, 0, 0) // no nets yet
+}
+
+// TestLinkPinsMatchesAppend holds LinkPins to the per-pin appends Connect
+// made before: on random designs (pinless cells and nets included) every
+// list has the same pins in the same order, an empty list is nil, each
+// list's capacity equals its length, and NumPins is set.
+func TestLinkPinsMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		cells, nets := 1+rng.Intn(40), 1+rng.Intn(40)
+		b := NewBuilder("r", geom.NewRect(0, 0, 10, 10), 1, 1)
+		for i := 0; i < cells; i++ {
+			b.AddCell("c", StdCell, 5, 5, 1, 1)
+		}
+		for i := 0; i < nets; i++ {
+			b.AddNet("n", 1)
+		}
+		wantCell, wantNet := make([][]int, cells), make([][]int, nets)
+		for p, np := 0, rng.Intn(200); p < np; p++ {
+			c, n := rng.Intn(cells), rng.Intn(nets)
+			if rng.Intn(4) == 0 {
+				c %= 1 + cells/4 // crowd some cells, leave others pinless
+			}
+			if got := b.Connect(c, n, 0, 0); got != p {
+				t.Fatalf("Connect returned pin %d, want %d", got, p)
+			}
+			wantCell[c] = append(wantCell[c], p)
+			wantNet[n] = append(wantNet[n], p)
+		}
+		d := b.MustBuild()
+		check := func(kind string, i int, got, want []int) {
+			if !reflect.DeepEqual(got, want) || cap(got) != len(got) {
+				t.Fatalf("trial %d: %s %d has pins %v (cap %d), want %v", trial, kind, i, got, cap(got), want)
+			}
+		}
+		for i := range d.Cells {
+			check("cell", i, d.Cells[i].Pins, wantCell[i])
+			if d.Cells[i].NumPins != len(wantCell[i]) {
+				t.Fatalf("trial %d: cell %d NumPins %d, want %d", trial, i, d.Cells[i].NumPins, len(wantCell[i]))
+			}
+		}
+		for i := range d.Nets {
+			check("net", i, d.Nets[i].Pins, wantNet[i])
+		}
+	}
 }

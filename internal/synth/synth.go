@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -330,7 +331,7 @@ func FromParams(p Params) (*netlist.Design, error) {
 	// ---- Macros ----
 	macroRects := placeMacros(rng, p, die)
 	for i, r := range macroRects {
-		b.AddCell(fmt.Sprintf("macro_%d", i), netlist.Macro,
+		b.AddCell("macro_"+strconv.Itoa(i), netlist.Macro,
 			r.Center().X, r.Center().Y, r.W(), r.H())
 	}
 
@@ -347,14 +348,14 @@ func FromParams(p Params) (*netlist.Design, error) {
 				break
 			}
 		}
-		b.AddCell(fmt.Sprintf("c%d", i), netlist.StdCell, x, y, widths[i], rowHeight)
+		b.AddCell("c"+strconv.Itoa(i), netlist.StdCell, x, y, widths[i], rowHeight)
 	}
 
 	// ---- IO pads ----
 	firstIO := firstStd + p.NumCells
 	for i := 0; i < p.IOPads; i++ {
 		x, y := perimeterPoint(rng, die)
-		b.AddCell(fmt.Sprintf("io%d", i), netlist.IOPad, x, y, siteWidth, siteWidth)
+		b.AddCell("io"+strconv.Itoa(i), netlist.IOPad, x, y, siteWidth, siteWidth)
 	}
 
 	// ---- Nets: Rent-style clustered hypergraph ----
@@ -397,7 +398,7 @@ func FromParams(p Params) (*netlist.Design, error) {
 		if p.NumCells > window {
 			start = rng.Intn(p.NumCells - window + 1)
 		}
-		net := b.AddNet(fmt.Sprintf("n%d", e), 1)
+		net := b.AddNet("n"+strconv.Itoa(e), 1)
 		epoch++
 		for k := 0; k < deg; k++ {
 			var ci int
@@ -444,7 +445,7 @@ func FromParams(p Params) (*netlist.Design, error) {
 				if deg > modSize {
 					deg = modSize
 				}
-				net := b.AddNet(fmt.Sprintf("hot%d_%d", hm, e), 1)
+				net := b.AddNet("hot"+strconv.Itoa(hm)+"_"+strconv.Itoa(e), 1)
 				epoch++
 				for k := 0; k < deg; k++ {
 					var ci int
@@ -463,7 +464,7 @@ func FromParams(p Params) (*netlist.Design, error) {
 
 	// High-fanout (clock-like) nets.
 	for h := 0; h < p.HighFanout; h++ {
-		net := b.AddNet(fmt.Sprintf("hf%d", h), 1)
+		net := b.AddNet("hf"+strconv.Itoa(h), 1)
 		fan := 30 + rng.Intn(40)
 		epoch++
 		connected := 0

@@ -266,8 +266,13 @@ func TestBigDesignDeterministicHash(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerateFFT1(b *testing.B) {
+func BenchmarkGenerateFFT1(b *testing.B) { benchmarkGenerate(b, "fft_1") }
+
+func BenchmarkGenerateSuperblue11A(b *testing.B) { benchmarkGenerate(b, "superblue11_a") }
+
+func benchmarkGenerate(b *testing.B, name string) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MustGenerate("fft_1")
+		MustGenerate(name)
 	}
 }
