@@ -59,9 +59,10 @@
 //
 // Exit codes: 0 success (or scheduled checkpoint stop), 1 generic error,
 // 2 usage error, 3 cancelled/timed out, 4 corrupted checkpoint,
-// 5 degenerate design, 6 numeric guard failure (violation under -guard
-// fail, or recovery budget exhausted under -guard recover), 8 legalization
-// found no room for a cell (the same run fails the same way every time).
+// 5 degenerate design (including nothing to coarsen at -levels ≥ 2),
+// 6 numeric guard failure (violation under -guard fail, or recovery budget
+// exhausted under -guard recover), 8 legalization found no room for a cell
+// (the same run fails the same way every time).
 // Internal errors never surface as raw panics; they print one line and
 // exit 1.
 package main

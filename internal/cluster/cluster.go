@@ -11,6 +11,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -32,6 +33,11 @@ const targetReduction = 3.5
 // movable count by less than this factor means the graph has no pairable
 // neighbors left (all candidate merges exceed the size cap).
 const stallReduction = 1.05
+
+// ErrNoCoarsening is Hierarchy's error for a design whose first level does
+// not shrink the movable-cell count: no movable cell has a neighbour it may
+// merge with.
+var ErrNoCoarsening = errors.New("does not coarsen")
 
 // Map records one coarsening level: the coarse design plus the
 // correspondence between fine cells and coarse clusters.
@@ -307,7 +313,8 @@ func compose(a, b *Map) *Map {
 // Hierarchy stacks levels−1 coarsening maps over d: maps[k] coarsens the
 // level-k design onto level k+1 (level 0 is d itself, the finest). Building
 // stops early when a level fails to shrink the movable count — the returned
-// slice may be shorter than requested but never empty for levels ≥ 2.
+// slice may be shorter than requested but never empty: when not even the
+// first level shrinks it, Hierarchy fails with ErrNoCoarsening.
 // maxWeight caps the base cells per cluster across the whole hierarchy
 // (≤ 0 selects no cap). The hierarchy is a pure function of d's topology.
 func Hierarchy(d *netlist.Design, levels, maxWeight int) ([]*Map, error) {
@@ -329,7 +336,7 @@ func Hierarchy(d *netlist.Design, levels, maxWeight int) ([]*Map, error) {
 		cur, weights = m.Coarse, m.Weight
 	}
 	if len(maps) == 0 {
-		return nil, fmt.Errorf("cluster: design %s does not coarsen (no matchable movable cells)", d.Name)
+		return nil, fmt.Errorf("cluster: design %s %w (no matchable movable cells)", d.Name, ErrNoCoarsening)
 	}
 	return maps, nil
 }

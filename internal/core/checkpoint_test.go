@@ -500,3 +500,108 @@ func TestEncodedSizeBound(t *testing.T) {
 		t.Fatalf("bound %d for %d bytes of widest values", bound, buf.Len())
 	}
 }
+
+// TestMergeOptions pins how a resume reconciles the caller's options with a
+// checkpoint's, on in-memory checkpoints of a flat and a multilevel run: a
+// run-defining field the caller sets must equal the checkpointed value
+// after setDefaults' sentinel mapping, and the merged options are the
+// checkpoint's under the caller's environment.
+func TestMergeOptions(t *testing.T) {
+	const cells = 100
+	ckOf := func(opt Options) *checkpoint {
+		opt.setDefaults(cells)
+		return &checkpoint{NumCells: cells, Opt: opt}
+	}
+	flatRun := fastOpts(ModeOurs)
+	flatRun.WLOverflowStop, flatRun.CongestionPatience = -1, -1
+	flatRun.Guard = guard.Config{Policy: guard.Recover}
+	flatRun.SkipLegalize = true
+	flat := ckOf(flatRun)
+	mlRun := mlOpts(2)
+	ml := ckOf(mlRun)
+
+	// Each run-defining field set to a value the checkpoint does not hold.
+	conflicts := []struct {
+		ck    *checkpoint
+		field string
+		opt   Options
+	}{
+		{flat, "Mode", Options{Mode: ModeBaselineRoute}},
+		{flat, "Tech", Options{Tech: Techniques{MCI: true}}},
+		{flat, "GridHint", Options{GridHint: 64}},
+		{flat, "MaxWLIters", Options{MaxWLIters: 7}},
+		{flat, "WLOverflowStop", Options{WLOverflowStop: 0.12}},
+		{ml, "WLOverflowStop", Options{WLOverflowStop: -1}},
+		{flat, "MaxRouteIters", Options{MaxRouteIters: 24}},
+		{flat, "StepsPerRouteIter", Options{StepsPerRouteIter: 12}},
+		{flat, "CongestionPatience", Options{CongestionPatience: 4}},
+		{ml, "CongestionPatience", Options{CongestionPatience: -1}},
+		{flat, "Levels", Options{Levels: 2}},
+		{ml, "Levels", Options{Levels: 3}},
+		{flat, "ClusterMaxSize", Options{ClusterMaxSize: 4}},
+		{ml, "ClusterMaxSize", Options{ClusterMaxSize: -1}},
+		{flat, "Guard", Options{Guard: guard.Config{Policy: guard.Recover, MaxRetries: 5}}},
+		{ml, "Guard", Options{Guard: guard.Config{Policy: guard.Recover}}},
+		{ml, "SkipLegalize", Options{SkipLegalize: true}},
+		{flat, "SkipDetailed", Options{SkipDetailed: true}},
+	}
+	// The environment: taken from the caller, never compared.
+	environment := map[string]bool{"CheckpointPath": true, "CheckpointAfter": true,
+		"BoundaryHook": true, "DisableCancelCheckpoint": true, "Workers": true,
+		"FaultInjector": true, "Log": true, "Observer": true}
+	covered := map[string]bool{}
+	for _, c := range conflicts {
+		covered[c.field] = true
+		_, err := c.ck.mergeOptions(c.opt)
+		want := "Options." + c.field + " differs from the checkpointed run"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Levels %d checkpoint, %s: got %v, want %q", c.ck.Opt.Levels, c.field, err, want)
+		}
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		if !covered[f.Name] && !environment[f.Name] {
+			t.Errorf("Options.%s is in no conflict case and is not environment", f.Name)
+		}
+	}
+
+	env := Options{Workers: 3, Log: io.Discard, Observer: telemetry.NewObserver(io.Discard),
+		CheckpointPath: "run.ckpt", CheckpointAfter: "wirelength",
+		BoundaryHook:            func(string) BoundaryAction { return BoundaryContinue },
+		DisableCancelCheckpoint: true, FaultInjector: inject.New(1)}
+	accepted := []struct {
+		name string
+		ck   *checkpoint
+		opt  Options
+	}{
+		{"zero", flat, Options{}},
+		{"the run's own options", flat, flatRun},
+		{"-1 sentinels against a checkpointed 0", flat, Options{WLOverflowStop: -1, CongestionPatience: -1}},
+		{"Levels 1", flat, Options{Levels: 1}},
+		{"negative ClusterMaxSize", flat, Options{ClusterMaxSize: -1}},
+		{"un-defaulted Guard", flat, Options{Guard: guard.Config{Policy: guard.Recover}}},
+		{"environment", flat, env},
+		{"multilevel zero", ml, Options{}},
+		{"multilevel run's own options", ml, mlRun},
+		{"multilevel Levels 1", ml, Options{Levels: 1}},
+		{"explicit default ClusterMaxSize", ml, Options{Levels: 2, ClusterMaxSize: 4}},
+		{"multilevel environment", ml, env},
+	}
+	for _, a := range accepted {
+		merged, err := a.ck.mergeOptions(a.opt)
+		if err != nil {
+			t.Errorf("%s: %v", a.name, err)
+			continue
+		}
+		if (merged.BoundaryHook == nil) != (a.opt.BoundaryHook == nil) {
+			t.Errorf("%s: BoundaryHook not taken from the caller", a.name)
+		}
+		want := a.ck.Opt
+		want.Workers, want.Log, want.Observer = a.opt.Workers, a.opt.Log, a.opt.Observer
+		want.CheckpointPath, want.CheckpointAfter = a.opt.CheckpointPath, a.opt.CheckpointAfter
+		want.DisableCancelCheckpoint, want.FaultInjector = a.opt.DisableCancelCheckpoint, a.opt.FaultInjector
+		merged.BoundaryHook = nil
+		if !reflect.DeepEqual(merged, want) {
+			t.Errorf("%s: merged options\n  %+v\nwant the checkpoint's under the caller's environment\n  %+v", a.name, merged, want)
+		}
+	}
+}

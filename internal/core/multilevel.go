@@ -1,40 +1,56 @@
 package core
 
-// The multilevel clustered flow (Options.Levels ≥ 2): the design is
-// coarsened Levels−1 times by internal/cluster's heavy-edge matcher, the
+// A run descends a level hierarchy: the design is coarsened Levels−1 times
+// by internal/cluster's heavy-edge matcher (Options.Levels ≥ 2), the
 // coarsest level is placed from scratch, and each coarse solution is
 // interpolated down to seed the next finer level until the original design
-// runs the full pipeline. Every level reuses the flat stage pipeline
-// unchanged — a level is just a PlacementState over the level's design with
-// derived options — so checkpoint/resume, boundary preemption and the
-// byte-identity guarantees all carry over: the hierarchy is a pure function
-// of the input design (topology-deterministic matching, position-only
-// centroids that are themselves deterministic), so a resumed process
-// rebuilds the identical cluster maps and continues any level mid-flight.
+// runs the full pipeline. A flat run is the one-level case: no cluster maps,
+// so its only level is the original design. Every level reuses the stage
+// pipeline unchanged — a level is just a PlacementState over the level's
+// design with derived options — so checkpoint/resume, boundary preemption
+// and the byte-identity guarantees all carry over: the hierarchy is a pure
+// function of the input design (topology-deterministic matching,
+// position-only centroids that are themselves deterministic), so a resumed
+// process rebuilds the identical cluster maps and continues any level
+// mid-flight.
 //
 // Telemetry and boundary points of coarse level k are prefixed "L<k>/"
-// ("L2/wirelength", "L1/route_iter:3"); level 0 keeps the flat names, so
-// flat runs are byte-identical to builds without this file.
+// ("L2/wirelength", "L1/route_iter:3"); level 0 keeps the bare names, the
+// same ones a flat run uses.
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/netlist"
 )
 
-// mlRun is the shared context of one multilevel run: the cluster hierarchy
-// plus the outer run identity (the caller's design and post-default options)
-// that checkpoints serialize regardless of which level they capture.
+// mlRun is the context of one run: the outer run identity (the caller's
+// design and post-default options) that checkpoints serialize regardless of
+// which level they capture, plus the cluster hierarchy (none on a flat run).
 type mlRun struct {
 	orig  *netlist.Design // the finest (caller's) design
 	outer Options         // post-setDefaults caller options
 
 	maps     []*cluster.Map // maps[k] coarsens level k onto level k+1
-	topLevel int            // coarsest level actually built (len(maps))
+	topLevel int            // coarsest level the run places (len(maps) once built)
+}
+
+// coarsen builds the cluster hierarchy (outer.Levels ≥ 2). A design that
+// does not coarsen at all is degenerate for a multilevel run.
+func (ml *mlRun) coarsen() error {
+	maps, err := cluster.Hierarchy(ml.orig, ml.outer.Levels, ml.outer.ClusterMaxSize)
+	switch {
+	case errors.Is(err, cluster.ErrNoCoarsening):
+		return fmt.Errorf("%w: multilevel: %w", ErrDegenerateDesign, err)
+	case err != nil:
+		return fmt.Errorf("core: multilevel: %w", err)
+	}
+	ml.maps, ml.topLevel = maps, len(maps)
+	return nil
 }
 
 // design returns the level-k design (level 0 is the original).
@@ -61,7 +77,8 @@ func (ml *mlRun) levelOptions(k int) Options {
 	return opt
 }
 
-// newLevelState builds a fresh PlacementState for level k.
+// newLevelState builds a PlacementState for level k at the start of its
+// pipeline; a resume overlays the checkpointed state on it.
 func (ml *mlRun) newLevelState(k int) *PlacementState {
 	opt := ml.levelOptions(k)
 	ps := &PlacementState{
@@ -77,22 +94,6 @@ func (ml *mlRun) newLevelState(k int) *PlacementState {
 		ps.tr = ps.obs.Tracer
 	}
 	return ps
-}
-
-// placeMultilevel is PlaceContext's Levels ≥ 2 path.
-func placeMultilevel(ctx context.Context, d *netlist.Design, opt Options) (*Result, error) {
-	maps, err := cluster.Hierarchy(d, opt.Levels, opt.ClusterMaxSize)
-	if err != nil {
-		return nil, fmt.Errorf("core: multilevel: %w", err)
-	}
-	ml := &mlRun{orig: d, outer: opt, maps: maps, topLevel: len(maps)}
-	sizes := make([]string, 0, ml.topLevel+1)
-	for k := ml.topLevel; k >= 0; k-- {
-		sizes = append(sizes, fmt.Sprintf("%d", len(ml.design(k).Cells)))
-	}
-	opt.logf("multilevel: %d levels, cells coarsest→finest %s",
-		ml.topLevel+1, strings.Join(sizes, " → "))
-	return ml.descend(ctx, ml.newLevelState(ml.topLevel))
 }
 
 // descend runs level pipelines from ps's level down to level 0, carrying
@@ -121,42 +122,4 @@ func (ml *mlRun) descend(ctx context.Context, ps *PlacementState) (*Result, erro
 			ps.level, len(m.Coarse.Cells), len(m.Fine.Cells), m.Fine.HPWL())
 		ps = ml.newLevelState(ps.level - 1)
 	}
-}
-
-// resumeMultilevel continues a checkpointed multilevel run: it rebuilds the
-// hierarchy from the (identical) input design, restores the captured level's
-// state mid-pipeline, and descends through the remaining levels exactly as
-// the uninterrupted run would have.
-func resumeMultilevel(ctx context.Context, d *netlist.Design, ck *checkpoint, merged Options) (*Result, error) {
-	if err := ck.validateDesign(d); err != nil {
-		return nil, err
-	}
-	ml := &mlRun{orig: d, outer: merged, topLevel: ck.MLTop}
-	// The hierarchy is only needed while coarse levels remain: a run
-	// checkpointed at level 0 has consumed every cluster map already.
-	if ck.MLLevel > 0 {
-		maps, err := cluster.Hierarchy(d, merged.Levels, merged.ClusterMaxSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: resume: %w", err)
-		}
-		if len(maps) != ck.MLTop {
-			return nil, fmt.Errorf("core: resume: hierarchy rebuilt with %d coarse levels, checkpoint was taken with %d",
-				len(maps), ck.MLTop)
-		}
-		ml.maps = maps
-		// No interpolation replay is needed for levels already completed:
-		// the checkpoint's cellpos overlay carries the captured level's
-		// positions, and every finer level's seed positions are produced by
-		// the Interpolate calls the descent below will still perform.
-	}
-	lvD := ml.design(ck.MLLevel)
-	if len(lvD.Cells) != ck.MLCells {
-		return nil, fmt.Errorf("core: resume: level %d design has %d cells, checkpoint was taken on %d",
-			ck.MLLevel, len(lvD.Cells), ck.MLCells)
-	}
-	ps, err := ck.restoreInto(lvD, ml.levelOptions(ck.MLLevel), ck.MLLevel, ml)
-	if err != nil {
-		return nil, err
-	}
-	return ml.descend(ctx, ps)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/geom"
+	"repro/internal/netlist"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
@@ -176,15 +179,28 @@ func TestMultilevelIdenticalAcrossWorkerCounts(t *testing.T) {
 		res, pos, trace := mlPlaceRun(t, design, w, levels)
 		check("workers", res, pos, trace)
 	}
-	// Resume legs: mid-coarse-level, at the last coarse boundary (before
-	// interpolation), and inside the finest level.
+	// Resume legs at every boundary kind of the coarse level and of the
+	// finest one. A coarse-level resume rebuilds the hierarchy and restores
+	// mid-level (L1/setup resumes where the coarsest level spreads from
+	// scratch; L1/route_iter:0 inside the loop), L1/legalize and
+	// L1/detailed sit before the interpolation onto level 0, and a level-0
+	// resume continues without the cluster maps, recomputing HPWLFinal
+	// after detailed.
 	for _, leg := range []struct {
 		point   string
 		workers int
 	}{
+		{"L1/setup", 2},
 		{"L1/wirelength", 1},
+		{"L1/route_iter:0", runtime.NumCPU()},
+		{"L1/routability", 1},
+		{"L1/legalize", 2},
 		{"L1/detailed", runtime.NumCPU()},
+		{"setup", 1},
 		{"wirelength", 2},
+		{"route_iter:0", runtime.NumCPU()},
+		{"legalize", 1},
+		{"detailed", 2},
 	} {
 		res, pos, trace := mlResumeRun(t, design, leg.point, leg.workers, levels)
 		check("resume@"+leg.point, res, pos, trace)
@@ -280,5 +296,28 @@ func TestValidateCheckpointOptsLevelPrefix(t *testing.T) {
 		if err := validateCheckpointOpts(opt); err == nil {
 			t.Errorf("validateCheckpointOpts(%q) = nil, want error", p)
 		}
+	}
+}
+
+// TestMultilevelNothingToCoarsenIsDegenerate: a design whose movable cells
+// have no movable neighbour to merge with (eight cells, each on a two-pin
+// net to one pad) cannot run at Levels ≥ 2. That is a property of the
+// design, so it fails as ErrDegenerateDesign (exit 5), which a supervisor
+// does not retry.
+func TestMultilevelNothingToCoarsenIsDegenerate(t *testing.T) {
+	b := netlist.NewBuilder("star", geom.NewRect(0, 0, 64, 64), 8, 1)
+	pad := b.AddCell("pad", netlist.IOPad, 0, 32, 1, 1)
+	for i := range 8 {
+		c := b.AddCell(fmt.Sprintf("c%d", i), netlist.StdCell, 32, 32, 4, 8)
+		n := b.AddNet(fmt.Sprintf("n%d", i), 1)
+		b.Connect(c, n, 0, 0)
+		b.Connect(pad, n, 0, 0)
+	}
+	_, err := Place(b.MustBuild(), mlOpts(2))
+	if !errors.Is(err, ErrDegenerateDesign) || !strings.Contains(err.Error(), "does not coarsen") {
+		t.Fatalf("Place at Levels 2 = %v, want ErrDegenerateDesign naming \"does not coarsen\"", err)
+	}
+	if got := ExitCode(err); got != ExitDegenerate {
+		t.Errorf("ExitCode = %d, want %d", got, ExitDegenerate)
 	}
 }

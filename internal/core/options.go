@@ -269,12 +269,15 @@ func (o *Options) setDefaults(numCells int) {
 	} else if o.CongestionPatience < 0 {
 		o.CongestionPatience = 0
 	}
-	if o.Levels > 1 {
-		if o.ClusterMaxSize == 0 {
-			o.ClusterMaxSize = 1 << (2 * (o.Levels - 1)) // 4^(Levels−1)
-		} else if o.ClusterMaxSize < 0 {
-			o.ClusterMaxSize = 0 // no cap
-		}
+	// Levels 0 and 1 both select the flat flow, stored as 0. ClusterMaxSize
+	// follows the sentinel convention: negative selects no cap, stored as 0.
+	if o.Levels == 1 {
+		o.Levels = 0
+	}
+	if o.ClusterMaxSize < 0 {
+		o.ClusterMaxSize = 0
+	} else if o.ClusterMaxSize == 0 && o.Levels > 1 {
+		o.ClusterMaxSize = 1 << (2 * (o.Levels - 1)) // 4^(Levels−1)
 	}
 	if o.Guard.Enabled() {
 		o.Guard.SetDefaults()

@@ -157,6 +157,10 @@ type cursor struct {
 	step int
 }
 
+// inGP reports whether the cursor is inside global placement, where the
+// optimizer state is live and a checkpoint carries the gp records.
+func (c cursor) inGP() bool { return c.stage == "wirelength" || c.stage == "routability" }
+
 // PlacementState is the complete mutable state of one placement run: the
 // design being placed, the run's options and partial Result, the pipeline
 // cursor, and the runtime models (density, wirelength, router, optimizer,
@@ -204,10 +208,10 @@ type PlacementState struct {
 	stall       int
 	bestX       []float64 // placement with the lowest weighted congestion
 
-	// Multilevel context (see multilevel.go): nil on a flat run. level is
-	// the hierarchy level this state places (0 = the original design); ml
-	// carries the cluster maps and the outer run identity shared by every
-	// level of one multilevel run.
+	// Run context (see multilevel.go). level is the hierarchy level this
+	// state places (0 = the original design, a flat run's only level); ml
+	// carries the outer run identity and the cluster maps shared by every
+	// level of the run.
 	level int
 	ml    *mlRun
 
@@ -258,26 +262,25 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt Options) (*Result,
 	if err := validateRun(d, &opt); err != nil {
 		return nil, err
 	}
+	ml := &mlRun{orig: d, outer: opt}
 	if opt.Levels > 1 {
-		return placeMultilevel(ctx, d, opt)
+		if err := ml.coarsen(); err != nil {
+			return nil, err
+		}
+		sizes := make([]string, 0, ml.topLevel+1)
+		for k := ml.topLevel; k >= 0; k-- {
+			sizes = append(sizes, strconv.Itoa(len(ml.design(k).Cells)))
+		}
+		opt.logf("multilevel: %d levels, cells coarsest→finest %s",
+			ml.topLevel+1, strings.Join(sizes, " → "))
 	}
-	ps := &PlacementState{
-		D:   d,
-		Opt: opt,
-		Res: &Result{Mode: opt.Mode},
-		cur: cursor{stage: "setup", step: -1},
-		obs: opt.Observer,
-	}
-	if ps.obs != nil {
-		ps.tr = ps.obs.Tracer
-	}
-	return runPipeline(ctx, ps)
+	return ml.descend(ctx, ml.newLevelState(ml.topLevel))
 }
 
 // pt maps a span/snapshot/boundary-point name onto this state's hierarchy
-// level: level 0 (and flat runs) use the bare name, coarse level k prefixes
-// "L<k>/" — so traces, stage timings and checkpoint points of different
-// levels never collide, and the flat pipeline's names are unchanged.
+// level: level 0 uses the bare name, coarse level k prefixes "L<k>/" — so
+// traces, stage timings and checkpoint points of different levels never
+// collide.
 func (ps *PlacementState) pt(name string) string {
 	if ps.level == 0 {
 		return name
@@ -556,9 +559,9 @@ func (ps *PlacementState) runSetup(ctx context.Context) error {
 		return err
 	}
 	sp := ps.startSpan("setup")
-	// The coarsest level spreads from scratch; every finer multilevel level
-	// starts from the interpolated coarse solution instead.
-	if ps.ml == nil || ps.level == ps.ml.topLevel {
+	// The coarsest level spreads from scratch; every finer level starts
+	// from the interpolated coarse solution instead.
+	if ps.level == ps.ml.topLevel {
 		spreadInitial(ps.D)
 	}
 	if err := ps.buildRuntime(); err != nil {

@@ -39,6 +39,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -129,39 +130,37 @@ type checkpoint struct {
 }
 
 // capture snapshots the placement state at the current cursor. Everything
-// is deep-copied; the checkpoint shares nothing with the live run.
+// is deep-copied; the checkpoint shares nothing with the live run. A
+// checkpoint is identified by the run the user started — the original
+// design and the outer options — whatever level it captures: a level's
+// derived options (coarse grid, skip flags) are reconstructed on resume,
+// never serialized.
 func (ps *PlacementState) capture() *checkpoint {
-	d, fingerD, opt := ps.D, ps.D, &ps.Opt
-	if ps.ml != nil {
-		// A multilevel checkpoint is identified by the run the user started:
-		// the original design and the outer options. The level pipeline's
-		// derived options (coarse grid, skip flags) are reconstructed on
-		// resume, never serialized.
-		fingerD, opt = ps.ml.orig, &ps.ml.outer
-	}
+	d, ml := ps.D, ps.ml
 	ck := &checkpoint{
 		Cur: ps.cur,
-		Opt: opt.withEnvironment(Options{}),
+		Opt: ml.outer.withEnvironment(Options{}),
 
-		NumCells: len(fingerD.Cells),
-		NumNets:  len(fingerD.Nets),
-		NumPins:  len(fingerD.Pins),
-		NumRails: len(fingerD.Rails),
-		Die:      fingerD.Die,
+		ML:      ml.outer.Levels >= 2,
+		MLTop:   ml.topLevel,
+		MLLevel: ps.level,
+		MLCells: len(d.Cells),
+
+		NumCells: len(ml.orig.Cells),
+		NumNets:  len(ml.orig.Nets),
+		NumPins:  len(ml.orig.Pins),
+		NumRails: len(ml.orig.Rails),
+		Die:      ml.orig.Die,
 
 		Res:     *ps.Res,
 		CellPos: d.SnapshotPositions(),
 	}
 	ck.Res.CongestionHistory = slices.Clone(ps.Res.CongestionHistory)
-	if ps.ml != nil {
-		ck.ML, ck.MLTop, ck.MLLevel, ck.MLCells = true, ps.ml.topLevel, ps.level, len(d.Cells)
-	}
 	if ps.grd != nil {
 		ck.GuardRetries = ps.grd.retries
 	}
 
-	gpStage := ps.cur.stage == "wirelength" || ps.cur.stage == "routability"
-	if gpStage && ps.optm != nil {
+	if ps.cur.inGP() && ps.optm != nil {
 		ck.HasGP = true
 		ps.captureGP(&ck.GP)
 		ck.Fillers = slices.Clone(ps.dens.FillerPos)
@@ -839,7 +838,15 @@ func readCheckpointFile(path string) (*checkpoint, error) {
 	return readCheckpoint(f)
 }
 
-// resumeCheckpoint is the shared back half of ResumeContext/ResumeFromFile.
+// resumeCheckpoint is the shared back half of ResumeContext/ResumeFromFile:
+// it rebuilds the run's context — the hierarchy only while coarse levels
+// remain, since a run checkpointed at level 0 has consumed every cluster
+// map — restores the captured level's state mid-pipeline, and descends
+// through the remaining levels exactly as the uninterrupted run would have.
+// Levels already completed need no interpolation replay: the checkpoint's
+// cellpos overlay carries the captured level's positions, and every finer
+// level's seed positions come from the Interpolate calls the descent still
+// performs.
 func resumeCheckpoint(ctx context.Context, d *netlist.Design, ck *checkpoint, opt Options) (*Result, error) {
 	merged, err := ck.mergeOptions(opt)
 	if err != nil {
@@ -848,87 +855,49 @@ func resumeCheckpoint(ctx context.Context, d *netlist.Design, ck *checkpoint, op
 	if err := validateRun(d, &merged); err != nil {
 		return nil, err
 	}
-	if ck.ML {
-		return resumeMultilevel(ctx, d, ck, merged)
+	if err := ck.validateDesign(d); err != nil {
+		return nil, err
 	}
-	ps, err := ck.restore(d, merged)
+	ml := &mlRun{orig: d, outer: merged, topLevel: ck.MLTop}
+	if ck.MLLevel > 0 {
+		if err := ml.coarsen(); err != nil {
+			return nil, err
+		}
+		if ml.topLevel != ck.MLTop {
+			return nil, fmt.Errorf("core: resume: hierarchy rebuilt with %d coarse levels, checkpoint was taken with %d",
+				ml.topLevel, ck.MLTop)
+		}
+	}
+	ps, err := ck.restoreInto(ml)
 	if err != nil {
 		return nil, err
 	}
-	return runPipeline(ctx, ps)
+	return ml.descend(ctx, ps)
 }
 
-// mergeOptions reconciles the caller's options with the checkpointed ones:
-// checkpointed run-defining fields are authoritative, and a caller value
-// that is set (non-zero, after the documented negative-sentinel mapping)
-// but different is an error — resuming under different placement options
-// could not reproduce the original run.
+// mergeOptions reconciles the caller's options with the checkpointed ones
+// by one rule over every run-defining field (each field withEnvironment
+// does not name): a field the caller sets must equal the checkpoint's after
+// setDefaults' normalization, since resuming under different placement
+// options could not reproduce the original run. A field is set when both
+// it and its normalized value are non-zero, or when it is a negative
+// sentinel, which selects the literal zero; so Levels 1, which normalizes
+// to the flat default 0, claims nothing. The checkpointed values win, and
+// the environment comes from the caller.
 func (ck *checkpoint) mergeOptions(opt Options) (Options, error) {
-	c := &ck.Opt
-	// The checkpoint stores post-setDefaults values, so WLOverflowStop==0
-	// really means threshold zero; re-running setDefaults would turn it
-	// back into 0.12. Map the caller's sentinels the same way setDefaults
-	// would before comparing.
-	wlStop := opt.WLOverflowStop
-	if wlStop < 0 {
-		wlStop = 0
-	}
-	patience := opt.CongestionPatience
-	if patience < 0 {
-		patience = 0
-	}
-	// Levels 0 and 1 both select the flat flow; ClusterMaxSize follows the
-	// sentinel convention (negative selects "no cap", serialized as 0).
-	levels := opt.Levels
-	if levels == 1 {
-		levels = 0
-	}
-	maxSize := opt.ClusterMaxSize
-	if maxSize < 0 {
-		maxSize = 0
-	}
-	mismatch := ""
-	switch {
-	case opt.Mode != 0 && opt.Mode != c.Mode:
-		mismatch = "Mode"
-	case opt.Tech != (Techniques{}) && opt.Tech != c.Tech:
-		mismatch = "Tech"
-	case opt.GridHint != 0 && opt.GridHint != c.GridHint:
-		mismatch = "GridHint"
-	case opt.MaxWLIters != 0 && opt.MaxWLIters != c.MaxWLIters:
-		mismatch = "MaxWLIters"
-	case opt.WLOverflowStop != 0 && wlStop != c.WLOverflowStop:
-		mismatch = "WLOverflowStop"
-	case opt.MaxRouteIters != 0 && opt.MaxRouteIters != c.MaxRouteIters:
-		mismatch = "MaxRouteIters"
-	case opt.StepsPerRouteIter != 0 && opt.StepsPerRouteIter != c.StepsPerRouteIter:
-		mismatch = "StepsPerRouteIter"
-	case opt.CongestionPatience != 0 && patience != c.CongestionPatience:
-		mismatch = "CongestionPatience"
-	case opt.SkipLegalize && !c.SkipLegalize:
-		mismatch = "SkipLegalize"
-	case opt.SkipDetailed && !c.SkipDetailed:
-		mismatch = "SkipDetailed"
-	case levels != 0 && levels != c.Levels:
-		mismatch = "Levels"
-	case opt.ClusterMaxSize != 0 && maxSize != c.ClusterMaxSize:
-		mismatch = "ClusterMaxSize"
-	}
-	// The checkpoint stores the post-SetDefaults guard config, so apply the
-	// same defaulting to the caller's before comparing.
-	if mismatch == "" && opt.Guard != (guard.Config{}) {
-		gcall := opt.Guard
-		if gcall.Enabled() {
-			gcall.SetDefaults()
-		}
-		if gcall != c.Guard {
-			mismatch = "Guard"
+	caller := opt.withEnvironment(Options{})
+	norm := caller
+	norm.setDefaults(ck.NumCells)
+	cv, nv, kv := reflect.ValueOf(caller), reflect.ValueOf(norm), reflect.ValueOf(ck.Opt)
+	for i := range cv.NumField() {
+		c, n := cv.Field(i), nv.Field(i)
+		negative := c.CanInt() && c.Int() < 0 || c.CanFloat() && c.Float() < 0
+		if (!c.IsZero() && !n.IsZero() || negative) && !n.Equal(kv.Field(i)) {
+			return Options{}, fmt.Errorf("core: resume: Options.%s differs from the checkpointed run",
+				cv.Type().Field(i).Name)
 		}
 	}
-	if mismatch != "" {
-		return Options{}, fmt.Errorf("core: resume: Options.%s differs from the checkpointed run", mismatch)
-	}
-	return c.withEnvironment(opt), nil
+	return ck.Opt.withEnvironment(opt), nil
 }
 
 // validateDesign checks the caller's design against the checkpoint's
@@ -947,37 +916,26 @@ func (ck *checkpoint) validateDesign(d *netlist.Design) error {
 	return nil
 }
 
-// restore rebuilds a runnable PlacementState from a flat-run checkpoint.
-func (ck *checkpoint) restore(d *netlist.Design, opt Options) (*PlacementState, error) {
-	if err := ck.validateDesign(d); err != nil {
-		return nil, err
+// restoreInto rebuilds the PlacementState of the level the cursor belongs to
+// (the original design on a flat run). Order matters: telemetry first (so
+// metric handles resolved while building the runtime bind to the restored
+// registry), then positions, then the deterministic model reconstruction,
+// then the model state overlays.
+func (ck *checkpoint) restoreInto(ml *mlRun) (*PlacementState, error) {
+	ps := ml.newLevelState(ck.MLLevel)
+	d := ps.D
+	if ck.ML && len(d.Cells) != ck.MLCells {
+		return nil, fmt.Errorf("core: resume: level %d design has %d cells, checkpoint was taken on %d",
+			ck.MLLevel, len(d.Cells), ck.MLCells)
 	}
-	return ck.restoreInto(d, opt, 0, nil)
-}
-
-// restoreInto rebuilds the PlacementState for the design the cursor points
-// at — the original design on a flat run, the level design of a multilevel
-// one. Order matters: telemetry first (so metric handles resolved while
-// building the runtime bind to the restored registry), then positions, then
-// the deterministic model reconstruction, then the model state overlays.
-func (ck *checkpoint) restoreInto(d *netlist.Design, opt Options, level int, ml *mlRun) (*PlacementState, error) {
 	if len(ck.CellPos) != 2*len(d.Cells) {
 		return nil, fmt.Errorf("core: resume: cellpos has %d values, want %d", len(ck.CellPos), 2*len(d.Cells))
 	}
 
 	res := ck.Res
-	res.Mode = ck.Opt.Mode
-	ps := &PlacementState{
-		D:     d,
-		Opt:   opt,
-		level: level,
-		ml:    ml,
-		Res:   &res,
-		cur:   ck.Cur,
-		obs:   opt.Observer,
-	}
+	res.Mode = ps.Res.Mode
+	ps.Res, ps.cur = &res, ck.Cur
 	if ps.obs != nil {
-		ps.tr = ps.obs.Tracer
 		ps.restored = ps.obs.RestoreState(ck.Tel)
 	}
 
@@ -988,8 +946,7 @@ func (ck *checkpoint) restoreInto(d *netlist.Design, opt Options, level int, ml 
 		res.HPWLFinal = d.HPWL()
 	}
 
-	gpStage := ck.Cur.stage == "wirelength" || ck.Cur.stage == "routability"
-	if gpStage {
+	if ck.Cur.inGP() {
 		if !ck.HasGP {
 			return nil, fmt.Errorf("core: resume: checkpoint cursor is at %q but the gp section is missing", ck.Cur.stage)
 		}

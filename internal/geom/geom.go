@@ -26,24 +26,8 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 // Dot returns the dot product of p and q treated as vectors.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
-// Norm returns the Euclidean length of p treated as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
-
-// Unit returns p normalized to unit length. The zero vector is returned
-// unchanged so callers need not special-case degenerate segments.
-func (p Point) Unit() Point {
-	n := p.Norm()
-	if n == 0 {
-		return p
-	}
-	return Point{p.X / n, p.Y / n}
-}
-
-// Perp returns p rotated 90 degrees counterclockwise.
-func (p Point) Perp() Point { return Point{-p.Y, p.X} }
 
 func (p Point) String() string { return fmt.Sprintf("(%.3f, %.3f)", p.X, p.Y) }
 
@@ -118,14 +102,6 @@ func (r Rect) Pad(m float64) Rect {
 	return Rect{Point{r.Lo.X - m, r.Lo.Y - m}, Point{r.Hi.X + m, r.Hi.Y + m}}
 }
 
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Point{math.Min(r.Lo.X, s.Lo.X), math.Min(r.Lo.Y, s.Lo.Y)},
-		Point{math.Max(r.Hi.X, s.Hi.X), math.Max(r.Hi.Y, s.Hi.Y)},
-	}
-}
-
 func (r Rect) String() string {
 	return fmt.Sprintf("[%s %s]", r.Lo, r.Hi)
 }
@@ -182,11 +158,6 @@ func (s Segment) Horizontal() bool { return s.A.Y == s.B.Y }
 
 // Vertical reports whether s runs along the y axis.
 func (s Segment) Vertical() bool { return s.A.X == s.B.X }
-
-// Lerp returns the point a fraction t of the way from A to B.
-func (s Segment) Lerp(t float64) Point {
-	return Point{s.A.X + t*(s.B.X-s.A.X), s.A.Y + t*(s.B.Y-s.A.Y)}
-}
 
 // CutAxisSegment removes the parts of an axis-aligned segment that fall inside
 // any of the blockers, returning the surviving sub-segments in order. It is

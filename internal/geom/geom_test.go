@@ -23,32 +23,8 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Dot(q); got != 3-8 {
 		t.Errorf("Dot = %v", got)
 	}
-	if got := p.Norm(); !almostEq(got, 5) {
-		t.Errorf("Norm = %v", got)
-	}
 	if got := p.Dist(Point{0, 0}); !almostEq(got, 5) {
 		t.Errorf("Dist = %v", got)
-	}
-}
-
-func TestUnitZeroVector(t *testing.T) {
-	z := Point{}
-	if got := z.Unit(); got != z {
-		t.Errorf("Unit of zero vector = %v, want zero", got)
-	}
-	u := Point{3, 4}.Unit()
-	if !almostEq(u.Norm(), 1) {
-		t.Errorf("Unit norm = %v, want 1", u.Norm())
-	}
-}
-
-func TestPerpOrthogonal(t *testing.T) {
-	p := Point{2.5, -7}
-	if got := p.Dot(p.Perp()); !almostEq(got, 0) {
-		t.Errorf("p . perp(p) = %v, want 0", got)
-	}
-	if !almostEq(p.Perp().Norm(), p.Norm()) {
-		t.Errorf("perp changes length")
 	}
 }
 
@@ -144,16 +120,6 @@ func TestExpandAndPad(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a := NewRect(0, 0, 5, 5)
-	b := NewRect(10, -3, 12, 2)
-	u := a.Union(b)
-	want := NewRect(0, -3, 12, 5)
-	if u != want {
-		t.Errorf("Union = %v, want %v", u, want)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 10) != 5 || Clamp(-1, 0, 10) != 0 || Clamp(11, 0, 10) != 10 {
 		t.Errorf("Clamp wrong")
@@ -190,10 +156,6 @@ func TestSegmentBasics(t *testing.T) {
 	v := Segment{Point{4, 0}, Point{4, 7}}
 	if !v.Vertical() {
 		t.Errorf("vertical segment not detected")
-	}
-	mid := s.Lerp(0.5)
-	if !almostEq(mid.X, 1.5) || !almostEq(mid.Y, 2) {
-		t.Errorf("Lerp = %v", mid)
 	}
 }
 

@@ -36,9 +36,9 @@ func FuzzControlLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) {
 		const total, ckpt = 5, "setup iter=0"
 		m := &Manager{jobs: map[string]*job{}, sched: newSched(1, 1)}
-		j := &job{id: "j0001", state: StateRunning, boundaryTotal: total, lastCheckpoint: ckpt}
-		m.jobs[j.id] = j
-		m.sched.add(j.id, 1, 0, 1)
+		j := &job{jobRecord: jobRecord{ID: "j0001", State: StateRunning, Boundaries: total}, lastCheckpoint: ckpt}
+		m.jobs[j.ID] = j
+		m.sched.add(j.ID, 1, 0, 1)
 		m.sched.decide()
 		m.handleControl(j, line)
 
@@ -60,8 +60,8 @@ func FuzzControlLine(f *testing.F) {
 		case "fail":
 			wantFail = msg.Error
 		}
-		if j.boundaryTotal != wantTotal {
-			t.Errorf("boundaryTotal %d, want %d", j.boundaryTotal, wantTotal)
+		if j.Boundaries != wantTotal {
+			t.Errorf("boundaryTotal %d, want %d", j.Boundaries, wantTotal)
 		}
 		if j.lastCheckpoint != wantCkpt {
 			t.Errorf("lastCheckpoint %q, want %q", j.lastCheckpoint, wantCkpt)

@@ -104,7 +104,7 @@ type JobView struct {
 type jobRecord struct {
 	ID   string `json:"id"`
 	Seq  int    `json:"seq"`
-	Spec Spec   `json:"spec"`
+	Spec Spec   `json:"spec"` // without the inline payload, which only payloadFile holds
 	// PayloadSHA256 is the hex SHA-256 of an inline job's payloadFile; empty
 	// for a catalog design. A record that still embeds Spec.Payload predates
 	// payloadFile and is migrated on recovery.
@@ -114,30 +114,24 @@ type jobRecord struct {
 	Segments      int       `json:"segments"`
 	Error         string    `json:"error,omitempty"`
 	Summary       *Summary  `json:"summary,omitempty"`
-	// Restarts/Poisoned persist the supervision history so a restarted
-	// daemon neither resets a job's crash budget nor revives a quarantined
-	// job. Boundaries persists the global boundary index that keys
-	// deterministic worker faults across daemon restarts.
+	// Restarts counts crash/stall recoveries toward the retry budget, and
+	// Poisoned marks a quarantined job (restarts exhausted the budget);
+	// persisted, a restarted daemon neither resets a job's crash budget nor
+	// revives a quarantined job. Boundaries counts every boundary report
+	// ever observed for this job — monotonic across worker restarts
+	// (including re-crossed boundaries after a crash) — and feeds the
+	// worker's -boundary-base, so deterministic worker faults fire once per
+	// global index, across daemon restarts too.
 	Restarts   int  `json:"restarts,omitempty"`
 	Poisoned   bool `json:"poisoned,omitempty"`
 	Boundaries int  `json:"boundaries,omitempty"`
 }
 
-// job is the manager's internal bookkeeping for one placement.
+// job is the manager's internal bookkeeping for one placement: its
+// persisted record plus the process-local runtime.
 type job struct {
-	id   string
-	seq  int
-	spec Spec // without the inline payload, which only payloadFile holds
-	// payloadSum is the hex SHA-256 of payloadFile; empty for a catalog
-	// design.
-	payloadSum string
-	dir        string // per-job state directory
-	created    time.Time
-
-	state    State
-	errMsg   string
-	summary  *Summary
-	segments int
+	jobRecord
+	dir string // per-job state directory
 
 	// hub carries the job's telemetry for the whole job lifetime in this
 	// process: canonical sink = the trace file, subscribers = SSE clients
@@ -168,15 +162,6 @@ type job struct {
 	// stalled marks a worker the stall monitor decided to kill, so the exit
 	// is classified as a stall rather than a plain crash.
 	stalled bool
-	// restarts counts crash/stall recoveries toward the retry budget.
-	restarts int
-	// poisoned marks a quarantined job (restarts exhausted the budget).
-	poisoned bool
-	// boundaryTotal counts every boundary report ever observed for this job
-	// — monotonic across worker restarts (including re-crossed boundaries
-	// after a crash) — and feeds the worker's -boundary-base so deterministic
-	// worker faults fire once per global index.
-	boundaryTotal int
 	// backoffTimer delays the requeue after a crash; nil outside backoff.
 	backoffTimer *time.Timer
 	// endMsg/failMsg buffer the worker's final control message until its

@@ -235,25 +235,25 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 		}
 	}
 	m.nextSeq++
-	j := &job{
-		id:      fmt.Sprintf("j%04d", m.nextSeq),
-		seq:     m.nextSeq,
-		spec:    spec,
-		created: time.Now().UTC(),
-		state:   StateQueued,
-	}
-	j.spec.Payload = "" // payloadFile holds it from here on
-	j.dir = filepath.Join(m.cfg.Dir, j.id)
+	j := &job{jobRecord: jobRecord{
+		ID:      fmt.Sprintf("j%04d", m.nextSeq),
+		Seq:     m.nextSeq,
+		Spec:    spec,
+		Created: time.Now().UTC(),
+		State:   StateQueued,
+	}}
+	j.Spec.Payload = "" // payloadFile holds it from here on
+	j.dir = filepath.Join(m.cfg.Dir, j.ID)
 	if err := m.createLocked(j, spec.Payload); err != nil {
 		os.RemoveAll(j.dir)
 		return "", err
 	}
-	m.jobs[j.id] = j
-	m.sched.add(j.id, j.seq, j.spec.Priority, m.budget(&j.spec))
+	m.jobs[j.ID] = j
+	m.sched.add(j.ID, j.Seq, j.Spec.Priority, m.budget(&j.Spec))
 	m.logf("submitted %s design=%s mode=%s workers=%d priority=%d",
-		j.id, j.spec.DesignName(), j.spec.Mode, m.budget(&j.spec), j.spec.Priority)
+		j.ID, j.Spec.DesignName(), j.Spec.Mode, m.budget(&j.Spec), j.Spec.Priority)
 	m.scheduleLocked()
-	return j.id, nil
+	return j.ID, nil
 }
 
 // createLocked makes a new job's state dir: the inline payload written
@@ -268,7 +268,7 @@ func (m *Manager) createLocked(j *job, payload string) error {
 		if err := writeFileAtomic(filepath.Join(j.dir, payloadFile), data); err != nil {
 			return err
 		}
-		j.payloadSum = payloadDigest(data)
+		j.PayloadSHA256 = payloadDigest(data)
 	}
 	f, err := os.OpenFile(m.tracePath(j), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -287,7 +287,7 @@ func (m *Manager) createLocked(j *job, payload string) error {
 func (m *Manager) queuedLocked() int {
 	n := 0
 	for _, j := range m.jobs {
-		if j.state == StateQueued {
+		if j.State == StateQueued {
 			n++
 		}
 	}
@@ -304,23 +304,23 @@ func (m *Manager) Pause(id string) error {
 	if !ok {
 		return ErrNoSuchJob
 	}
-	switch j.state {
+	switch j.State {
 	case StatePaused, StatePausing:
 		return nil
 	case StateQueued:
 		m.stopBackoffLocked(j)
 		m.sched.remove(id)
-		j.state = StatePaused
+		j.State = StatePaused
 		return m.persistLocked(j)
 	case StateRunning:
 		j.pauseWanted = true
-		j.state = StatePausing
+		j.State = StatePausing
 		m.sched.stop(id)
 		m.stopWorkerLocked(j)
 		m.scheduleLocked() // a waiter may be admissible once the slots free
 		return m.persistLocked(j)
 	default:
-		return fmt.Errorf("%w: cannot pause a %s job", ErrBadTransition, j.state)
+		return fmt.Errorf("%w: cannot pause a %s job", ErrBadTransition, j.State)
 	}
 }
 
@@ -332,11 +332,11 @@ func (m *Manager) Resume(id string) error {
 	if !ok {
 		return ErrNoSuchJob
 	}
-	if j.state != StatePaused {
-		return fmt.Errorf("%w: cannot resume a %s job", ErrBadTransition, j.state)
+	if j.State != StatePaused {
+		return fmt.Errorf("%w: cannot resume a %s job", ErrBadTransition, j.State)
 	}
-	j.state = StateQueued
-	m.sched.add(j.id, j.seq, j.spec.Priority, m.budget(&j.spec))
+	j.State = StateQueued
+	m.sched.add(j.ID, j.Seq, j.Spec.Priority, m.budget(&j.Spec))
 	if err := m.persistLocked(j); err != nil {
 		return err
 	}
@@ -355,22 +355,22 @@ func (m *Manager) Cancel(id string) error {
 	if !ok {
 		return ErrNoSuchJob
 	}
-	switch j.state {
+	switch j.State {
 	case StateCancelled, StateCancelling:
 		return nil
 	case StateQueued, StatePaused:
 		m.stopBackoffLocked(j)
 		m.sched.remove(id)
-		j.state = StateCancelled
+		j.State = StateCancelled
 		m.finishLocked(j)
 		m.scheduleLocked()
 		return m.persistLocked(j)
 	case StateRunning, StatePausing:
-		j.state = StateCancelling
+		j.State = StateCancelling
 		m.cancelWorkerLocked(j)
 		return m.persistLocked(j)
 	default:
-		return fmt.Errorf("%w: cannot cancel a %s job", ErrBadTransition, j.state)
+		return fmt.Errorf("%w: cannot cancel a %s job", ErrBadTransition, j.State)
 	}
 }
 
@@ -429,8 +429,8 @@ func (m *Manager) PlacementPath(id string) (string, error) {
 	if !ok {
 		return "", ErrNoSuchJob
 	}
-	if j.state != StateDone {
-		return "", fmt.Errorf("%w: placement available once done, job is %s", ErrBadTransition, j.state)
+	if j.State != StateDone {
+		return "", fmt.Errorf("%w: placement available once done, job is %s", ErrBadTransition, j.State)
 	}
 	return filepath.Join(j.dir, "out.place"), nil
 }
@@ -472,7 +472,7 @@ func (m *Manager) Stats() []telemetry.Metric {
 				maxAge = age
 			}
 		}
-		if j.state == StateQueued {
+		if j.State == StateQueued {
 			queued++
 		}
 	}
@@ -514,7 +514,7 @@ func (m *Manager) scheduleLocked() {
 			// retry, and quarantine if it keeps failing.
 			m.noteCrashLocked(j, fmt.Sprintf("worker launch: %v", err))
 			if perr := m.persistLocked(j); perr != nil {
-				m.logf("%s: persist: %v", j.id, perr)
+				m.logf("%s: persist: %v", j.ID, perr)
 			}
 		}
 	}
@@ -533,7 +533,7 @@ func (m *Manager) scheduleLocked() {
 // backlog. Idempotent: a clean boundary stop passes through without
 // touching the stream, and a first launch finds the trace already empty.
 func (m *Manager) prepareLaunchLocked(j *job) error {
-	lines, changed, err := m.rollBackLocked(j, j.segments > 0)
+	lines, changed, err := m.rollBackLocked(j, j.Segments > 0)
 	if err != nil || !changed {
 		return err
 	}
@@ -560,7 +560,7 @@ func (m *Manager) rollBackLocked(j *job, emptyTrace bool) (lines [][]byte, chang
 				return nil, false, rerr
 			}
 			info, ierr = pinfo, nil
-			m.logf("%s: primary checkpoint corrupt; promoted .prev", j.id)
+			m.logf("%s: primary checkpoint corrupt; promoted .prev", j.ID)
 		}
 	}
 	if ierr == nil {
@@ -576,7 +576,7 @@ func (m *Manager) rollBackLocked(j *job, emptyTrace bool) (lines [][]byte, chang
 		// Checkpoint claims events the trace never got: the pair is
 		// inconsistent, so a byte-exact migration is impossible. Restart
 		// from scratch rather than serve a wrong trace.
-		m.logf("%s: %v; restarting from scratch", j.id, err)
+		m.logf("%s: %v; restarting from scratch", j.ID, err)
 	}
 	os.Remove(ckpt)
 	os.Remove(ckpt + ".prev")
@@ -617,10 +617,10 @@ func (m *Manager) launchWorkerLocked(j *job) error {
 	argv := append([]string{}, m.cfg.WorkerCommand...)
 	argv = append(argv,
 		"-dir", j.dir,
-		"-budget", strconv.Itoa(m.budget(&j.spec)),
+		"-budget", strconv.Itoa(m.budget(&j.Spec)),
 		"-persist-every", strconv.Itoa(m.cfg.PersistEvery),
 		"-heartbeat-ms", strconv.Itoa(int(m.cfg.HeartbeatEvery/time.Millisecond)),
-		"-boundary-base", strconv.Itoa(j.boundaryTotal),
+		"-boundary-base", strconv.Itoa(j.Boundaries),
 	)
 	if j.resume {
 		argv = append(argv, "-resume")
@@ -653,8 +653,8 @@ func (m *Manager) launchWorkerLocked(j *job) error {
 		stdin.Close()
 		return err
 	}
-	j.state = StateRunning
-	j.segments++
+	j.State = StateRunning
+	j.Segments++
 	j.stopSent = false
 	j.stalled = false
 	j.endMsg = nil
@@ -663,9 +663,9 @@ func (m *Manager) launchWorkerLocked(j *job) error {
 	j.pid = cmd.Process.Pid
 	j.lastHB = time.Now()
 	if err := m.persistLocked(j); err != nil {
-		m.logf("%s: persist: %v", j.id, err)
+		m.logf("%s: persist: %v", j.ID, err)
 	}
-	m.logf("%s: starting segment %d pid=%d (resume=%v)", j.id, j.segments, j.pid, j.resume)
+	m.logf("%s: starting segment %d pid=%d (resume=%v)", j.ID, j.Segments, j.pid, j.resume)
 	hub := j.hub
 	m.wg.Add(1)
 	go m.superviseWorker(j, cmd, hub, stdin, stdout)
@@ -710,7 +710,7 @@ func (m *Manager) superviseWorker(j *job, cmd *exec.Cmd, hub *telemetry.Hub, std
 func (m *Manager) handleControl(j *job, payload []byte) {
 	var msg ctlMsg
 	if err := json.Unmarshal(payload, &msg); err != nil {
-		m.logf("%s: bad control line: %v", j.id, err)
+		m.logf("%s: bad control line: %v", j.ID, err)
 		return
 	}
 	m.mu.Lock()
@@ -719,14 +719,14 @@ func (m *Manager) handleControl(j *job, payload []byte) {
 	switch msg.Type {
 	case "hb":
 	case "boundary":
-		j.boundaryTotal++
+		j.Boundaries++
 		if msg.Ckpt {
 			j.lastCheckpoint = msg.Point
 		}
 		// The scheduler decides pause/preemption/fair-share at boundaries,
 		// exactly as it did in-process; a stop decision becomes a signal and
 		// the worker checkpoints at its next boundary.
-		if m.sched.onBoundary(j.id) {
+		if m.sched.onBoundary(j.ID) {
 			m.stopWorkerLocked(j)
 		}
 	case "end":
@@ -744,7 +744,7 @@ func (m *Manager) stopWorkerLocked(j *job) {
 	}
 	j.stopSent = true
 	if err := j.proc.Signal(syscall.SIGTERM); err != nil {
-		m.logf("%s: stop signal: %v", j.id, err)
+		m.logf("%s: stop signal: %v", j.ID, err)
 	}
 }
 
@@ -754,7 +754,7 @@ func (m *Manager) cancelWorkerLocked(j *job) {
 		return
 	}
 	if err := j.proc.Signal(os.Interrupt); err != nil {
-		m.logf("%s: cancel signal: %v", j.id, err)
+		m.logf("%s: cancel signal: %v", j.ID, err)
 	}
 }
 
@@ -767,13 +767,13 @@ func (m *Manager) onWorkerExit(j *job, code int, desc string) {
 	j.proc = nil
 	j.pid = 0
 	switch {
-	case j.state == StateCancelling:
+	case j.State == StateCancelling:
 		// Whatever the exit code — a clean exit 3, or a crash racing the
 		// cancel — the user asked for the job to end.
-		j.state = StateCancelled
-		m.sched.remove(j.id)
+		j.State = StateCancelled
+		m.sched.remove(j.ID)
 		m.finishLocked(j)
-		m.logf("%s: cancelled", j.id)
+		m.logf("%s: cancelled", j.ID)
 	case code == workerExitStopped:
 		// Scheduled stop at a boundary: pause parks the job, preemption and
 		// graceful shutdown requeue it. Either way the next worker resumes
@@ -781,31 +781,31 @@ func (m *Manager) onWorkerExit(j *job, code int, desc string) {
 		j.resume = true
 		if j.pauseWanted {
 			j.pauseWanted = false
-			j.state = StatePaused
-			m.sched.remove(j.id)
-			m.logf("%s: paused at %s", j.id, j.lastCheckpoint)
+			j.State = StatePaused
+			m.sched.remove(j.ID)
+			m.logf("%s: paused at %s", j.ID, j.lastCheckpoint)
 		} else {
-			j.state = StateQueued
-			m.sched.requeue(j.id)
-			m.logf("%s: preempted at %s", j.id, j.lastCheckpoint)
+			j.State = StateQueued
+			m.sched.requeue(j.ID)
+			m.logf("%s: preempted at %s", j.ID, j.lastCheckpoint)
 		}
 	case code == workerExitOK && j.endMsg != nil:
-		j.summary = j.endMsg
+		j.Summary = j.endMsg
 		j.endMsg = nil
-		j.state = StateDone
-		m.sched.remove(j.id)
+		j.State = StateDone
+		m.sched.remove(j.ID)
 		m.finishLocked(j)
-		m.logf("%s: done HPWL=%.0f DRVs=%d", j.id, j.summary.HPWLFinal, j.summary.DRVs)
+		m.logf("%s: done HPWL=%.0f DRVs=%d", j.ID, j.Summary.HPWLFinal, j.Summary.DRVs)
 	case code == workerExitUsage, code == core.ExitDegenerate, code == core.ExitGuard,
 		code == core.ExitNoRoom:
 		// Deterministic failures: retrying cannot help, fail immediately.
-		j.state = StateFailed
-		if j.errMsg = j.failMsg; j.errMsg == "" {
-			j.errMsg = fmt.Sprintf("worker: %s", desc)
+		j.State = StateFailed
+		if j.Error = j.failMsg; j.Error == "" {
+			j.Error = fmt.Sprintf("worker: %s", desc)
 		}
-		m.sched.remove(j.id)
+		m.sched.remove(j.ID)
 		m.finishLocked(j)
-		m.logf("%s: failed: %s", j.id, j.errMsg)
+		m.logf("%s: failed: %s", j.ID, j.Error)
 	default:
 		// Crashes, kills, stalls (the monitor's kill lands here), corrupt
 		// checkpoints (a retry heals them via the .prev promotion), injected
@@ -819,7 +819,7 @@ func (m *Manager) onWorkerExit(j *job, code int, desc string) {
 		m.noteCrashLocked(j, reason)
 	}
 	if perr := m.persistLocked(j); perr != nil {
-		m.logf("%s: persist: %v", j.id, perr)
+		m.logf("%s: persist: %v", j.ID, perr)
 	}
 	m.scheduleLocked()
 }
@@ -832,33 +832,33 @@ func (m *Manager) noteCrashLocked(j *job, reason string) {
 		// The pause asked for a stop; the crash delivered one. Park the job
 		// — Resume will relaunch from the last checkpoint.
 		j.pauseWanted = false
-		j.state = StatePaused
-		m.sched.remove(j.id)
-		m.logf("%s: worker died during pause (%s); parked paused", j.id, reason)
+		j.State = StatePaused
+		m.sched.remove(j.ID)
+		m.logf("%s: worker died during pause (%s); parked paused", j.ID, reason)
 		return
 	}
-	j.restarts++
+	j.Restarts++
 	m.cRestarts.Inc()
-	if j.restarts > m.cfg.RetryBudget {
-		j.poisoned = true
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("poisoned: retry budget (%d) exhausted; last worker death: %s",
+	if j.Restarts > m.cfg.RetryBudget {
+		j.Poisoned = true
+		j.State = StateFailed
+		j.Error = fmt.Sprintf("poisoned: retry budget (%d) exhausted; last worker death: %s",
 			m.cfg.RetryBudget, reason)
 		m.cQuarantines.Inc()
-		m.sched.remove(j.id)
+		m.sched.remove(j.ID)
 		m.finishLocked(j)
-		m.logf("%s: quarantined as failed(poisoned): %s", j.id, reason)
+		m.logf("%s: quarantined as failed(poisoned): %s", j.ID, reason)
 		return
 	}
-	backoff := m.backoffFor(j.restarts)
-	j.state = StateQueued
-	m.sched.remove(j.id) // out of the scheduler until the backoff elapses
+	backoff := m.backoffFor(j.Restarts)
+	j.State = StateQueued
+	m.sched.remove(j.ID) // out of the scheduler until the backoff elapses
 	m.logf("%s: worker died (%s); restart %d/%d in %v",
-		j.id, reason, j.restarts, m.cfg.RetryBudget, backoff)
+		j.ID, reason, j.Restarts, m.cfg.RetryBudget, backoff)
 	if m.closed {
 		return // persisted as queued; the next Open requeues it
 	}
-	id := j.id
+	id := j.ID
 	j.backoffTimer = time.AfterFunc(backoff, func() { m.endBackoff(id) })
 }
 
@@ -887,11 +887,11 @@ func (m *Manager) endBackoff(id string) {
 		return
 	}
 	j := m.jobs[id]
-	if j == nil || j.backoffTimer == nil || j.state != StateQueued {
+	if j == nil || j.backoffTimer == nil || j.State != StateQueued {
 		return
 	}
 	j.backoffTimer = nil
-	m.sched.add(j.id, j.seq, j.spec.Priority, m.budget(&j.spec))
+	m.sched.add(j.ID, j.Seq, j.Spec.Priority, m.budget(&j.Spec))
 	m.scheduleLocked()
 }
 
@@ -929,7 +929,7 @@ func (m *Manager) monitor() {
 					j.stalled = true
 					m.cStalls.Inc()
 					m.logf("%s: worker pid %d stalled (silent for %v); killing",
-						j.id, j.pid, now.Sub(j.lastHB).Round(time.Millisecond))
+						j.ID, j.pid, now.Sub(j.lastHB).Round(time.Millisecond))
 					j.proc.Kill()
 				}
 			}
@@ -949,7 +949,7 @@ func (m *Manager) finishLocked(j *job) {
 	}
 	if j.traceFile != nil {
 		if err := j.traceFile.Close(); err != nil {
-			m.logf("%s: trace close: %v", j.id, err)
+			m.logf("%s: trace close: %v", j.ID, err)
 		}
 		j.traceFile = nil
 	}
@@ -962,21 +962,7 @@ func (m *Manager) tracePath(j *job) string {
 }
 
 func (m *Manager) persistLocked(j *job) error {
-	rec := jobRecord{
-		ID:            j.id,
-		Seq:           j.seq,
-		Spec:          j.spec,
-		PayloadSHA256: j.payloadSum,
-		State:         j.state,
-		Created:       j.created,
-		Segments:      j.segments,
-		Error:         j.errMsg,
-		Summary:       j.summary,
-		Restarts:      j.restarts,
-		Poisoned:      j.poisoned,
-		Boundaries:    j.boundaryTotal,
-	}
-	data, err := json.MarshalIndent(&rec, "", "  ")
+	data, err := json.MarshalIndent(&j.jobRecord, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -984,24 +970,24 @@ func (m *Manager) persistLocked(j *job) error {
 }
 
 func (m *Manager) viewLocked(j *job) JobView {
-	mode := j.spec.Mode
+	mode := j.Spec.Mode
 	if mode == "" {
 		mode = "ours"
 	}
 	return JobView{
-		ID:         j.id,
-		Design:     j.spec.DesignName(),
+		ID:         j.ID,
+		Design:     j.Spec.DesignName(),
 		Mode:       mode,
-		State:      j.state,
-		Priority:   j.spec.Priority,
-		Workers:    m.budget(&j.spec),
-		Created:    j.created,
-		Segments:   j.segments,
-		Error:      j.errMsg,
-		Summary:    j.summary,
+		State:      j.State,
+		Priority:   j.Spec.Priority,
+		Workers:    m.budget(&j.Spec),
+		Created:    j.Created,
+		Segments:   j.Segments,
+		Error:      j.Error,
+		Summary:    j.Summary,
 		Checkpoint: j.lastCheckpoint,
-		Restarts:   j.restarts,
-		Poisoned:   j.poisoned,
+		Restarts:   j.Restarts,
+		Poisoned:   j.Poisoned,
 		WorkerPID:  j.pid,
 	}
 }
@@ -1029,30 +1015,16 @@ func (m *Manager) recover() error {
 			m.logf("recover %s: bad job.json: %v (skipped)", e.Name(), err)
 			continue
 		}
-		j := &job{
-			id:            rec.ID,
-			seq:           rec.Seq,
-			spec:          rec.Spec,
-			payloadSum:    rec.PayloadSHA256,
-			dir:           dir,
-			created:       rec.Created,
-			state:         rec.State,
-			errMsg:        rec.Error,
-			summary:       rec.Summary,
-			segments:      rec.Segments,
-			restarts:      rec.Restarts,
-			poisoned:      rec.Poisoned,
-			boundaryTotal: rec.Boundaries,
-		}
+		j := &job{jobRecord: rec, dir: dir}
 		if err := m.migratePayload(j); err != nil {
-			return fmt.Errorf("recover %s: %w", j.id, err)
+			return fmt.Errorf("recover %s: %w", j.ID, err)
 		}
 		if err := m.recoverJob(j); err != nil {
-			return fmt.Errorf("recover %s: %w", j.id, err)
+			return fmt.Errorf("recover %s: %w", j.ID, err)
 		}
-		m.jobs[j.id] = j
-		if j.seq > m.nextSeq {
-			m.nextSeq = j.seq
+		m.jobs[j.ID] = j
+		if j.Seq > m.nextSeq {
+			m.nextSeq = j.Seq
 		}
 	}
 	return nil
@@ -1063,23 +1035,23 @@ func (m *Manager) recover() error {
 // so a worker has one way to get its design. A crash between the two
 // writes leaves the old record, which the next recovery migrates again.
 func (m *Manager) migratePayload(j *job) error {
-	if j.spec.Payload == "" {
+	if j.Spec.Payload == "" {
 		return nil
 	}
-	data := []byte(j.spec.Payload)
+	data := []byte(j.Spec.Payload)
 	if err := writeFileAtomic(filepath.Join(j.dir, payloadFile), data); err != nil {
 		return err
 	}
-	j.payloadSum = payloadDigest(data)
-	j.spec.Payload = ""
-	m.logf("%s: moved the inline payload out of job.json into %s", j.id, payloadFile)
+	j.PayloadSHA256 = payloadDigest(data)
+	j.Spec.Payload = ""
+	m.logf("%s: moved the inline payload out of job.json into %s", j.ID, payloadFile)
 	return m.persistLocked(j)
 }
 
 // recoverJob rebuilds one adopted job's runtime state (hub, trace file,
 // scheduler entry) from its on-disk remains.
 func (m *Manager) recoverJob(j *job) error {
-	if j.state.Terminal() || j.state == StateCancelling {
+	if j.State.Terminal() || j.State == StateCancelling {
 		// Read-only adoption: seed a closed hub so SSE replays the full
 		// stream and immediately ends it.
 		lines, err := readTraceLines(m.tracePath(j))
@@ -1089,13 +1061,13 @@ func (m *Manager) recoverJob(j *job) error {
 		j.hub = telemetry.NewHub(nil)
 		j.hub.Seed(lines)
 		j.hub.Close()
-		if j.state.Terminal() {
+		if j.State.Terminal() {
 			return nil
 		}
 		// The cancel was requested before the crash; honor it. The trace is
 		// whatever the dead process got out — cancelled jobs carry no
 		// byte-identity promise.
-		j.state = StateCancelled
+		j.State = StateCancelled
 		return m.persistLocked(j)
 	}
 
@@ -1109,14 +1081,14 @@ func (m *Manager) recoverJob(j *job) error {
 
 	// Pausing collapses to paused (the stop was requested; the crash
 	// delivered it); queued/running re-queue for migration.
-	switch j.state {
+	switch j.State {
 	case StatePausing, StatePaused:
-		j.state = StatePaused
+		j.State = StatePaused
 	default:
-		j.state = StateQueued
-		m.sched.add(j.id, j.seq, j.spec.Priority, m.budget(&j.spec))
+		j.State = StateQueued
+		m.sched.add(j.ID, j.Seq, j.Spec.Priority, m.budget(&j.Spec))
 	}
-	m.logf("%s: recovered as %s (resume=%v)", j.id, j.state, j.resume)
+	m.logf("%s: recovered as %s (resume=%v)", j.ID, j.State, j.resume)
 	return m.persistLocked(j)
 }
 
@@ -1136,7 +1108,7 @@ func (m *Manager) Close() {
 	m.closed = true
 	for id, j := range m.jobs {
 		m.stopBackoffLocked(j)
-		if j.state == StateRunning || j.state == StatePausing {
+		if j.State == StateRunning || j.State == StatePausing {
 			m.sched.stop(id)
 			m.stopWorkerLocked(j)
 		}

@@ -169,8 +169,8 @@ func (s *Spec) mode() (core.Mode, error) {
 	return m, nil
 }
 
-// DesignName is the display name: the catalog name, or the inline payload's
-// own design name once parsed (best-effort "inline" before that).
+// DesignName is the display name: the catalog name, or "inline" for a
+// payload (its own design name is never parsed out for display).
 func (s *Spec) DesignName() string {
 	if s.Design != "" {
 		return s.Design

@@ -233,6 +233,41 @@ func TestNoRoomFailureIsNotRetried(t *testing.T) {
 	}
 }
 
+// TestNothingToCoarsenIsNotRetried: at levels 2 a design whose movable
+// cells have no movable neighbour (eight cells, each on a two-pin net to one
+// pad) has no hierarchy to build. That is degenerate, not a crash, so the
+// supervisor fails the job at once with the clusterer's message.
+func TestNothingToCoarsenIsNotRetried(t *testing.T) {
+	m, err := Open(workerConfig(t, Config{Dir: t.TempDir()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	b := netlist.NewBuilder("star", geom.NewRect(0, 0, 64, 64), 8, 1)
+	pad := b.AddCell("pad", netlist.IOPad, 0, 32, 1, 1)
+	for i := range 8 {
+		c := b.AddCell(fmt.Sprintf("c%d", i), netlist.StdCell, 32, 32, 4, 8)
+		n := b.AddNet(fmt.Sprintf("n%d", i), 1)
+		b.Connect(c, n, 0, 0)
+		b.Connect(pad, n, 0, 0)
+	}
+	var buf bytes.Buffer
+	if err := designio.Write(&buf, b.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	id, err := m.Submit(Spec{Payload: buf.String(), Levels: 2, MaxWLIters: 2, MaxRouteIters: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := waitState(t, m, id, StateFailed)
+	if v.Restarts != 0 || v.Poisoned {
+		t.Errorf("restarts = %d, poisoned = %v; want 0, false", v.Restarts, v.Poisoned)
+	}
+	if !strings.Contains(v.Error, "does not coarsen") {
+		t.Errorf("error %q does not name the coarsening failure", v.Error)
+	}
+}
+
 // TestAdmissionShedsWhenQueueFull pins the queue-cap path: with one slot
 // busy and the queue at its cap, Submit must shed with ErrOverloaded (not
 // block, not grow the queue) and /readyz must report not-ready.

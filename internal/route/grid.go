@@ -233,11 +233,3 @@ func (r *Result) CongestionAt(x, y float64) float64 {
 	cx, cy := r.Grid.CellAt(x, y)
 	return r.Congestion[cy*r.Grid.NX+cx]
 }
-
-// maxFloat is a tiny helper avoiding math.Max churn in hot loops.
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -204,69 +204,6 @@ func TestAvgAndAtAccessors(t *testing.T) {
 	}
 }
 
-func TestRUDYBasics(t *testing.T) {
-	d := twoCellDesign(t, 20, 128, 200, 128)
-	g := NewGrid(d, 32)
-	rudy := RUDY(d, g)
-	var total float64
-	peak := 0.0
-	for _, v := range rudy {
-		if v < 0 {
-			t.Fatalf("negative RUDY")
-		}
-		total += v
-		if v > peak {
-			peak = v
-		}
-	}
-	if total <= 0 {
-		t.Fatalf("RUDY empty")
-	}
-	// Demand concentrates in the net's row.
-	cx, cy := g.CellAt(110, 128)
-	if rudy[cy*g.NX+cx] < peak/2 {
-		t.Errorf("RUDY low along the net row")
-	}
-}
-
-func TestRUDYCorrelatesWithRouter(t *testing.T) {
-	// On a real design, G-cells with high routed demand should tend to have
-	// high RUDY too (rank correlation over a coarse split).
-	d := synth.MustGenerate("tiny_hot")
-	g := NewGrid(d, 32)
-	res := NewRouter(d, g).Route()
-	rudy := RUDY(d, g)
-	// Compare mean RUDY over the top-decile routed cells vs the rest.
-	type pair struct{ dmd, rudy float64 }
-	n := g.NX * g.NY
-	pairs := make([]pair, n)
-	for i := 0; i < n; i++ {
-		pairs[i] = pair{res.DemandTotal(i), rudy[i]}
-	}
-	var hiSum, hiN, loSum, loN float64
-	// Threshold at the routed-demand mean.
-	var dmdMean float64
-	for _, p := range pairs {
-		dmdMean += p.dmd
-	}
-	dmdMean /= float64(n)
-	for _, p := range pairs {
-		if p.dmd > dmdMean {
-			hiSum += p.rudy
-			hiN++
-		} else {
-			loSum += p.rudy
-			loN++
-		}
-	}
-	if hiN == 0 || loN == 0 {
-		t.Skip("degenerate split")
-	}
-	if hiSum/hiN <= loSum/loN {
-		t.Errorf("RUDY does not correlate with routed demand: hi %v lo %v", hiSum/hiN, loSum/loN)
-	}
-}
-
 func BenchmarkRouteTinyHot(b *testing.B) {
 	d := synth.MustGenerate("tiny_hot")
 	g := NewGrid(d, 32)
